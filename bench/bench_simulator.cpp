@@ -7,11 +7,10 @@
 //     documents what a downstream user can expect from the substrate.
 //
 //   * `bench_simulator --engine-report [flags]`: machine-readable engine
-//     comparison.  Runs the pipeline under the legacy PR-1 engine, the
-//     static-partition arena engine, and the frontier-aware engine at
-//     several thread counts, and writes BENCH_simulator.json with
-//     rounds/sec, logical-messages/sec and heap-allocation counts per
-//     run.  Flags:
+//     comparison.  Runs the pipeline under the legacy reference engine
+//     and the frontier engine at several thread counts, and
+//     writes BENCH_simulator.json with rounds/sec, logical-messages/sec
+//     and heap-allocation counts per run.  Flags:
 //       --baseline        legacy engine at threads=1 only (the
 //                         reproducible before-picture; diff two reports
 //                         with scripts/bench_compare.py)
@@ -35,10 +34,9 @@
 //     Every row records the host's hardware_threads so a comparison
 //     script can refuse to read a "speedup" off an oversubscribed run.
 //     The report also asserts that steady-state heap allocations on the
-//     small graphs are thread-count-invariant per engine (the arena
-//     engine once leaked a per-round std::function per lane — ~300
-//     extra allocations per run at 8 threads; this gate keeps that
-//     fixed).
+//     small graphs are thread-count-invariant per engine (a per-round
+//     std::function per lane once cost ~300 extra allocations per run
+//     at 8 threads; this gate keeps that fixed).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -168,18 +166,6 @@ Graph load_dataset(const char* name) {
   std::exit(2);
 }
 
-const char* engine_name(EngineKind engine) {
-  switch (engine) {
-    case EngineKind::kLegacy:
-      return "legacy";
-    case EngineKind::kArena:
-      return "arena";
-    case EngineKind::kFrontier:
-      return "frontier";
-  }
-  return "?";
-}
-
 /// Marks `k` seed-drawn distinct sources on an n-node graph (the sampled
 /// estimator configuration the scale tier runs under).
 std::vector<bool> sampled_sources(NodeId n, std::uint64_t k,
@@ -195,7 +181,7 @@ std::vector<bool> sampled_sources(NodeId n, std::uint64_t k,
 struct ReportRow {
   std::string graph;
   std::uint32_t nodes = 0;
-  std::string engine;  ///< "legacy", "arena", or "frontier"
+  std::string engine;  ///< "legacy" or "frontier"
   unsigned threads = 1;
   unsigned hardware_threads = 1;  ///< of the host that produced the row
   std::uint64_t samples = 0;      ///< sampled sources (0 = every node)
@@ -215,10 +201,10 @@ struct BenchGraph {
   bool scale_tier = false;    ///< single repetition, no warm-up run
 };
 
-ReportRow measure(const BenchGraph& bg, EngineKind engine, unsigned threads,
+ReportRow measure(const BenchGraph& bg, bool legacy, unsigned threads,
                   int repetitions) {
   DistributedBcOptions options;
-  options.engine = engine;
+  options.legacy_engine = legacy;
   options.threads = threads;
   // Real lanes even when the host has fewer cores: the row carries
   // hardware_threads so readers can gate speedup claims themselves.
@@ -235,7 +221,7 @@ ReportRow measure(const BenchGraph& bg, EngineKind engine, unsigned threads,
   ReportRow row;
   row.graph = bg.name;
   row.nodes = bg.graph.num_nodes();
-  row.engine = engine_name(engine);
+  row.engine = legacy ? "legacy" : "frontier";
   row.threads = threads;
   row.hardware_threads = ThreadPool::hardware_threads();
   row.samples = bg.samples;
@@ -427,30 +413,18 @@ int run_engine_report(bool baseline, const std::string& out_path,
       continue;
     }
     struct Config {
-      EngineKind engine;
+      bool legacy;
       unsigned threads;
     };
     std::vector<Config> configs;
     if (baseline) {
-      configs = {{EngineKind::kLegacy, 1}};  // the before-picture
+      configs = {{true, 1}};  // the before-picture
     } else if (!bg.scale_tier) {
-      configs = {{EngineKind::kLegacy, 1},   {EngineKind::kArena, 1},
-                 {EngineKind::kArena, 2},    {EngineKind::kArena, 8},
-                 {EngineKind::kFrontier, 1}, {EngineKind::kFrontier, 2},
-                 {EngineKind::kFrontier, 8}};
-    } else if (bg.graph.num_nodes() > 50'000) {
-      // 100k+: the legacy and arena engines pay O(N) per round across
-      // ~10 N rounds — hours per run.  The frontier curve is the story.
-      configs = {{EngineKind::kFrontier, 1},
-                 {EngineKind::kFrontier, 2},
-                 {EngineKind::kFrontier, 4},
-                 {EngineKind::kFrontier, 8}};
+      configs = {{true, 1}, {false, 1}, {false, 2}, {false, 8}};
     } else {
-      configs = {{EngineKind::kArena, 1},
-                 {EngineKind::kFrontier, 1},
-                 {EngineKind::kFrontier, 2},
-                 {EngineKind::kFrontier, 4},
-                 {EngineKind::kFrontier, 8}};
+      // Scale tier: the legacy engine pays O(N) per round across ~10 N
+      // rounds.  The frontier curve is the story.
+      configs = {{false, 1}, {false, 2}, {false, 4}, {false, 8}};
     }
     if (!threads_override.empty()) {
       std::vector<Config> filtered;
@@ -464,7 +438,7 @@ int run_engine_report(bool baseline, const std::string& out_path,
       configs = filtered;
     }
     for (const Config& c : configs) {
-      const ReportRow row = measure(bg, c.engine, c.threads, repetitions);
+      const ReportRow row = measure(bg, c.legacy, c.threads, repetitions);
       std::printf(
           "%-12s %-8s threads=%u  %10.1f rounds/s  %12.0f msgs/s  %8llu "
           "allocs  (%.3fs/run)\n",
@@ -489,8 +463,8 @@ int run_engine_report(bool baseline, const std::string& out_path,
     // host actually has the cores; print it with that caveat attached.
     const unsigned hw = ThreadPool::hardware_threads();
     if (const ReportRow* before = find("grid14", "legacy", 1)) {
-      if (const ReportRow* after = find("grid14", "arena", 1)) {
-        std::printf("grid14 speedup (arena/legacy, threads=1): %.2fx; "
+      if (const ReportRow* after = find("grid14", "frontier", 1)) {
+        std::printf("grid14 speedup (frontier/legacy, threads=1): %.2fx; "
                     "allocations %llu -> %llu\n",
                     before->seconds / after->seconds,
                     static_cast<unsigned long long>(before->heap_allocations),

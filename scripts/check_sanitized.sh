@@ -2,11 +2,12 @@
 # Sanitized runs of the code that sanitizers pay for:
 #
 #   * ASan+UBSan (build-asan): the fault-injection suite (ctest label
-#     "faults") plus the engine suites (label "perf": arena determinism
-#     and the frontier identity matrix, which runs the new sparse-ER and
-#     BA generators at sanitizer-sized node counts) — the fault/
-#     reliable-transport layer moves raw payload bytes across rounds, and
-#     the arena/lane engines hand out spans into recycled block memory — plus
+#     "faults") plus the engine suites (label "perf": the frontier-vs-
+#     legacy identity matrix, which runs the sparse-ER and BA generators
+#     at sanitizer-sized node counts, and the arena/thread-pool units) —
+#     the fault/reliable-transport layer moves raw payload bytes across
+#     rounds, and the frontier engine's lane arenas hand out spans into
+#     recycled block memory — plus
 #     the snapshot suite (label "snapshot"), whose corruption fuzz feeds
 #     hostile bytes straight into the restore parsers, plus the service
 #     suite (label "service"), whose framing fuzz feeds hostile bytes

@@ -42,7 +42,6 @@ BcRun::BcRun(const Graph& g, const DistributedBcOptions& options)
           : inner_budget;
   net_config_.max_rounds = options_.max_rounds;
   net_config_.threads = options_.threads;
-  net_config_.engine = options_.engine;
   net_config_.legacy_engine = options_.legacy_engine;
   net_config_.frontier_min_parallel_nodes = options_.frontier_min_parallel_nodes;
   net_config_.frontier_clamp_lanes = options_.frontier_clamp_lanes;

@@ -118,13 +118,9 @@ struct DistributedBcOptions {
   /// threads): 1 = sequential, 0 = one per hardware thread.  Results are
   /// bit-identical for every value.
   unsigned threads = 1;
-  /// Which simulator engine executes the rounds (NetworkConfig::engine).
-  /// All three produce bit-identical results; the frontier engine is the
-  /// default and the only one whose per-round cost tracks the active set
-  /// instead of N.
-  EngineKind engine = EngineKind::kFrontier;
-  /// Compat alias: run the PR-1 sequential allocating simulator engine
-  /// (overrides `engine`) — the reproducible baseline of
+  /// Run the legacy sequential allocating simulator engine instead of the
+  /// frontier engine (NetworkConfig::legacy_engine) — the reference the
+  /// identity tests compare against and the baseline of
   /// `bench_simulator --baseline`; never faster, never different.
   bool legacy_engine = false;
   /// Frontier engine tuning passthrough (NetworkConfig fields of the same
@@ -199,13 +195,12 @@ DistributedBcResult run_distributed_bc(const Graph& g,
 /// Fingerprint of every option that determines the *result* of a run on
 /// an N-node graph, with defaults resolved first (so an explicit value
 /// equal to the default fingerprints identically).  Execution-strategy
-/// knobs — threads, engine (and its frontier_* tuning), legacy_engine,
-/// trace, stall_window, checkpoint/resume/halt plumbing — are
-/// deliberately excluded: the engine
-/// guarantees bit-identical results across all of them, so runs that
-/// differ only there share a fingerprint (and the service cache serves
-/// one from the other).  The fault plan enters via fault_fingerprint(),
-/// the same bytes the resume path validates.
+/// knobs — threads, the frontier_* tuning, legacy_engine, trace,
+/// stall_window, checkpoint/resume/halt plumbing — are deliberately
+/// excluded: the simulator guarantees bit-identical results across all
+/// of them, so runs that differ only there share a fingerprint (and the
+/// service cache serves one from the other).  The fault plan enters via
+/// fault_fingerprint(), the same bytes the resume path validates.
 std::uint64_t options_fingerprint(const DistributedBcOptions& options,
                                   NodeId num_nodes);
 

@@ -81,10 +81,10 @@ bool split_host_port(const std::string& s, std::string& host,
 /// — it parses the graph and resolves option defaults); it only needs
 /// one property: identical submits hash identically, so they always meet
 /// on the same home worker, where the real fingerprint coalesces them.
-/// Execution hints (threads, engine, legacy_engine) and retry metadata
-/// (deadline, attempt) are excluded so variants of the same work
-/// colocate.  Stream-addressed work hashes its namespace alone, which
-/// pins a namespace — its MUTATEs and all its submits — to one worker.
+/// The execution hint (threads) and retry metadata (deadline, attempt)
+/// are excluded so variants of the same work colocate.  Stream-addressed
+/// work hashes its namespace alone, which pins a namespace — its MUTATEs
+/// and all its submits — to one worker.
 std::uint64_t route_fingerprint(const SubmitRequest& request) {
   FingerprintBuilder fp;
   if (!request.stream_ns.empty()) {

@@ -1,14 +1,15 @@
 // Per-round bump arena for message payloads.
 //
-// The round engine (congest/network.cpp) double-buffers two of these:
-// every physical message delivered in round r has its payload bump-copied
-// into arena[r % 2], and the mailboxes hold (pointer, bit-count) views
-// into that memory.  The views are consumed by the programs in round
-// r + 1, and arena[r % 2] is not reset until the delivery phase of round
-// r + 2 — strictly after the last reader — so the lifetime argument is
-// positional, with no per-message ownership or refcounting.  One-round
-// delay faults fit inside the same window (parked payloads are re-copied
-// into owning storage anyway, because the fault path is cold).
+// The frontier engine (congest/network.cpp) gives each lane two of these:
+// every bundle a lane's nodes send in round r has its payload bump-copied
+// into that lane's arena[r % 2], and the mailboxes hold (pointer,
+// bit-count) views into that memory.  The views are consumed by the
+// programs in round r + 1, and arena[r % 2] is not reset until the top of
+// round r + 2's execution phase — strictly after the last reader — so the
+// lifetime argument is positional, with no per-message ownership or
+// refcounting.  One-round delay faults fit inside the same window (parked
+// payloads are re-copied into owning storage anyway, because the fault
+// path is cold).
 //
 // reset() is O(1) amortized and keeps the high-water block, so after the
 // first few rounds the steady state performs zero heap allocations per

@@ -26,78 +26,6 @@ namespace congestbc {
 
 namespace {
 
-// ---------------------------------------------------------------- engine
-
-/// Per-node context of the zero-allocation engine.  Sends append directly
-/// into per-neighbor bundle slots (indexed by adjacency position, so the
-/// merge phase needs no sort), and the inbox buffer is recycled with the
-/// mailbox every round.  Each node's context is touched only by the lane
-/// executing that node, plus the sequential merge phase — never two lanes
-/// at once.
-class SlotContext final : public NodeContext {
- public:
-  struct Slot {
-    BitWriter writer;
-    std::uint64_t logical = 0;
-  };
-
-  SlotContext(const Graph& graph, NodeId id)
-      : graph_(&graph), id_(id), neighbors_(graph.neighbors(id)) {
-    slots_.resize(neighbors_.size());
-  }
-
-  NodeId id() const override { return id_; }
-  std::uint32_t num_nodes() const override { return graph_->num_nodes(); }
-  std::span<const NodeId> neighbors() const override { return neighbors_; }
-  std::uint64_t round() const override { return round_; }
-  const std::vector<InboundMessage>& inbox() const override { return inbox_; }
-
-  void send(NodeId neighbor, const BitWriter& payload) override {
-    const auto it =
-        std::lower_bound(neighbors_.begin(), neighbors_.end(), neighbor);
-    CBC_EXPECTS(it != neighbors_.end() && *it == neighbor,
-                "node tried to send to a non-neighbor");
-    Slot& slot = slots_[static_cast<std::size_t>(it - neighbors_.begin())];
-    slot.writer.append(payload.data(), payload.bit_size());
-    slot.logical += 1;
-  }
-
-  // -- harness side --
-  /// Starts a round: takes `mailbox`'s messages and leaves it the old
-  /// (cleared) inbox buffer, so the two vectors ping-pong and keep their
-  /// capacities — no steady-state allocation.
-  void begin_round(std::uint64_t round, std::vector<InboundMessage>& mailbox) {
-    round_ = round;
-    inbox_.clear();
-    inbox_.swap(mailbox);
-    clear_slots();
-  }
-  /// A crashed node's round: empty inbox, stale outbox discarded.
-  void begin_round_empty(std::uint64_t round) {
-    round_ = round;
-    inbox_.clear();
-    clear_slots();
-  }
-  std::vector<Slot>& slots() { return slots_; }
-
- private:
-  void clear_slots() {
-    for (Slot& s : slots_) {
-      if (s.logical != 0) {
-        s.writer.clear();
-        s.logical = 0;
-      }
-    }
-  }
-
-  const Graph* graph_;
-  NodeId id_;
-  std::span<const NodeId> neighbors_;
-  std::uint64_t round_ = 0;
-  std::vector<InboundMessage> inbox_;
-  std::vector<Slot> slots_;
-};
-
 // ------------------------------------------------- frontier engine lane
 
 /// One lane's execution scratch for the frontier engine: a reusable slot
@@ -402,11 +330,8 @@ RunMetrics Network::run(std::vector<std::unique_ptr<NodeProgram>>& programs) {
   suspended_payload_.reset();
   resumed_from_round_.reset();
   checkpoints_written_.clear();
-  if (config_.legacy_engine || config_.engine == EngineKind::kLegacy) {
+  if (config_.legacy_engine) {
     return run_legacy(programs);
-  }
-  if (config_.engine == EngineKind::kArena) {
-    return run_engine(programs);
   }
   return run_frontier(programs);
 }
@@ -599,15 +524,12 @@ std::uint64_t Network::apply_pending_resume(
   return state->round;
 }
 
-RunMetrics Network::run_engine(
+RunMetrics Network::run_frontier(
     std::vector<std::unique_ptr<NodeProgram>>& programs) {
   const NodeId n = graph_->num_nodes();
   CBC_EXPECTS(programs.size() == n, "one program per node required");
-  std::vector<SlotContext> contexts;
-  contexts.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     CBC_EXPECTS(programs[v] != nullptr, "null program");
-    contexts.emplace_back(*graph_, v);
   }
 
   std::optional<FaultInjector> injector;
@@ -617,12 +539,6 @@ RunMetrics Network::run_engine(
 
   metrics_ = RunMetrics{};
   arena_block_allocations_ = 0;
-  // Double-buffered payload storage: round r's deliveries live in
-  // arena[r & 1], are read by the programs in round r + 1, and the buffer
-  // is reclaimed at the delivery phase of round r + 2 — strictly after
-  // the last reader (one-round delay faults are re-copied into owning
-  // storage, so they never outlive the window).
-  PayloadArena arenas[2];
   std::vector<std::vector<InboundMessage>> mailboxes(n);
   // Messages hit by a kDelay fault in round r sit here through round r+1's
   // delivery phase and land in the inbox read at round r+2 (one round late).
@@ -646,340 +562,6 @@ RunMetrics Network::run_engine(
     in_flight += mailboxes[v].size() + delayed_pending[v].size();
   }
 
-  const unsigned lanes =
-      config_.threads == 0 ? ThreadPool::hardware_threads() : config_.threads;
-  std::optional<ThreadPool> pool;
-  if (lanes > 1 && n > 1) {
-    pool.emplace(lanes);
-  }
-  std::vector<std::uint8_t> node_up;
-  if (injector) {
-    node_up.assign(n, 1);
-  }
-
-  // Stall watchdog state.  Progress means: the done() count changed, a
-  // program's progress_marker() advanced, or a live node *without* a
-  // marker consumed a message.  Mere transmission is never progress —
-  // under a drop-everything plan senders stay busy forever while the
-  // computation goes nowhere — and consumption by marker-bearing programs
-  // (the reliable transport) is ignored too, because their control
-  // chatter keeps flowing even when retransmitting into a dead peer.
-  // After a resume the markers and done count are re-read from the
-  // restored programs — identical to what the uninterrupted run carried
-  // across this boundary, since nothing mutates between rounds.
-  std::size_t last_done_count = 0;
-  std::vector<std::optional<std::uint64_t>> last_markers;
-  if (config_.stall_window != 0) {
-    last_markers.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-      last_markers.push_back(programs[v]->progress_marker());
-    }
-    if (start_round != 0) {
-      last_done_count = static_cast<std::size_t>(
-          std::count_if(programs.begin(), programs.end(),
-                        [](const auto& p) { return p->done(); }));
-    }
-  }
-
-  // Hoisted out of the round loop: constructing a std::function per round
-  // was one heap allocation per round — the thread-count-dependent
-  // allocation drift bench_simulator now asserts against.  The lambda
-  // reads `round` through this reference.
-  std::uint64_t round = start_round;
-  const std::function<void(std::size_t, std::size_t)> execute_nodes =
-      [&](std::size_t lo, std::size_t hi) {
-        // The static partition assigns lane l the range starting at
-        // floor(n*l/lanes); ceil(lo*lanes/n) inverts that, giving the
-        // recorder one trace track per worker lane.
-        const auto lane =
-            static_cast<std::uint32_t>(pool ? (lo * lanes + n - 1) / n : 0);
-        obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kNodeExecute,
-                                 round, lane);
-        for (std::size_t v = lo; v < hi; ++v) {
-          if (injector && node_up[v] == 0) {
-            contexts[v].begin_round_empty(round);
-            continue;
-          }
-          contexts[v].begin_round(round, mailboxes[v]);
-          programs[v]->on_round(contexts[v]);
-        }
-      };
-
-  for (;; ++round) {
-    metrics_.rounds = round;  // kept current so a throw reports progress
-    if (round >= config_.max_rounds) {
-      throw RoundLimitError("simulation exceeded max_rounds = " +
-                            std::to_string(config_.max_rounds));
-    }
-
-    // Check termination: all done and nothing queued for delivery
-    // (including messages still parked in the delay buffers).
-    if (in_flight == 0) {
-      const bool all_done =
-          std::all_of(programs.begin(), programs.end(),
-                      [](const auto& p) { return p->done(); });
-      if (all_done) {
-        metrics_.rounds = round;
-        return metrics_;
-      }
-    }
-
-    // Top-of-round boundary: everything the rest of this round depends on
-    // is in programs/mailboxes/delayed_pending — snapshot (and/or
-    // suspend) here.
-    if (checkpoint_or_halt(round, start_round, stall_rounds, mailboxes,
-                           delayed_pending, programs)) {
-      return metrics_;  // suspended; save_snapshot() has the state
-    }
-
-    // Phase 1 (sequential): crash bookkeeping and the watchdog's
-    // consumption signal — everything that mutates shared metrics or the
-    // trace, in node-id order.  A crashed node freezes: its program does
-    // not run (state persists for a crash-restart), it sends nothing, and
-    // every message in its mailbox is lost.
-    bool consumed_this_round = false;
-    {
-      obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kCrashBookkeeping,
-                               round);
-      if (injector) {
-        for (NodeId v = 0; v < n; ++v) {
-          const bool up = injector->node_up(v, round);
-          node_up[v] = up ? 1 : 0;
-          if (up) {
-            continue;
-          }
-          metrics_.crashed_node_rounds += 1;
-          metrics_.dropped_messages += mailboxes[v].size();
-          in_flight -= mailboxes[v].size();
-          if (config_.trace != nullptr) {
-            for (const auto& lost : mailboxes[v]) {
-              config_.trace->on_fault(
-                  FaultEvent{round, lost.from(), v, FaultKind::kReceiverCrash});
-            }
-          }
-          mailboxes[v].clear();
-        }
-      }
-      if (config_.stall_window != 0) {
-        for (NodeId v = 0; v < n; ++v) {
-          if ((!injector || node_up[v] != 0) && !mailboxes[v].empty() &&
-              !last_markers[v].has_value()) {
-            consumed_this_round = true;
-            break;
-          }
-        }
-      }
-    }
-
-    // Phase 2 (parallel): run every live node on this round's inbox.
-    // Each lane owns a contiguous node range and touches only those
-    // nodes' contexts and programs; the first exception in partition
-    // order is rethrown — the same one a sequential loop would raise.
-    if (pool) {
-      pool->parallel_ranges(n, execute_nodes);
-    } else {
-      execute_nodes(0, n);
-    }
-    // Every mailbox was consumed (or lost to a crash); only the delay
-    // buffers still hold traffic, re-counted below.
-    in_flight = 0;
-
-    // Phase 3 (sequential): delayed messages from the previous round
-    // become deliverable now, ahead of this round's sends (they are
-    // older traffic).
-    {
-      obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kDelayedRelease,
-                               round);
-      for (NodeId v = 0; v < n; ++v) {
-        if (!delayed_pending[v].empty()) {
-          mailboxes[v].swap(delayed_pending[v]);
-          delayed_pending[v].clear();
-          in_flight += mailboxes[v].size();
-        }
-      }
-    }
-
-    // Phase 4 (sequential merge): bundle slots become physical messages;
-    // faults, metrics, cut accounting, and the trace all happen here in
-    // node-id order, so the observable stream is independent of `lanes`.
-    // The span runs to the end of the iteration, covering the merge and
-    // the end-of-round watchdog bookkeeping.
-    obs::ScopedSpan obs_merge_span(config_.recorder, obs::Phase::kMerge,
-                                   round);
-    PayloadArena& arena = arenas[round & 1];
-    arena.reset();
-    RoundStats stats;
-    for (NodeId v = 0; v < n; ++v) {
-      auto& slots = contexts[v].slots();
-      const auto nbrs = graph_->neighbors(v);
-      const std::size_t base = graph_->adjacency_offset(v);
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        SlotContext::Slot& slot = slots[i];
-        if (slot.logical == 0) {
-          continue;
-        }
-        const NodeId to = nbrs[i];
-        const std::uint64_t bits = slot.writer.bit_size();
-        const std::uint64_t logical = slot.logical;
-        if (config_.bits_per_edge_per_round != 0 &&
-            bits > config_.bits_per_edge_per_round) {
-          throw CongestViolationError(
-              "CONGEST violation: " + std::to_string(bits) + " bits on edge " +
-              std::to_string(v) + "->" + std::to_string(to) + " in round " +
-              std::to_string(round) + " (budget " +
-              std::to_string(config_.bits_per_edge_per_round) + ")");
-        }
-        // Transmission is accounted (and traced) whether or not the message
-        // survives: the sender spent the bits on the wire either way.
-        stats.physical_messages += 1;
-        stats.logical_messages += logical;
-        stats.bits += bits;
-        stats.max_bits_on_edge = std::max(stats.max_bits_on_edge, bits);
-        stats.max_logical_on_edge = std::max(stats.max_logical_on_edge, logical);
-        if (has_cut_ && cut_flags_[base + i] != 0) {
-          metrics_.cut_bits += bits;
-        }
-        if (config_.trace != nullptr) {
-          config_.trace->on_physical_message(
-              TraceEvent{round, v, to, bits, logical});
-        }
-
-        bool duplicate = false;
-        if (injector) {
-          if (!injector->link_up(v, to, round)) {
-            metrics_.dropped_messages += 1;
-            if (config_.trace != nullptr) {
-              config_.trace->on_fault(
-                  FaultEvent{round, v, to, FaultKind::kLinkDown});
-            }
-            continue;
-          }
-          switch (injector->classify(round, v, to)) {
-            case FaultInjector::Delivery::kDrop:
-              metrics_.dropped_messages += 1;
-              if (config_.trace != nullptr) {
-                config_.trace->on_fault(
-                    FaultEvent{round, v, to, FaultKind::kDrop});
-              }
-              continue;
-            case FaultInjector::Delivery::kDuplicate:
-              metrics_.duplicated_messages += 1;
-              if (config_.trace != nullptr) {
-                config_.trace->on_fault(
-                    FaultEvent{round, v, to, FaultKind::kDuplicate});
-              }
-              duplicate = true;
-              break;  // falls through to the normal delivery below
-            case FaultInjector::Delivery::kDelay:
-              metrics_.delayed_messages += 1;
-              if (config_.trace != nullptr) {
-                config_.trace->on_fault(
-                    FaultEvent{round, v, to, FaultKind::kDelay});
-              }
-              // Cold path: the payload outlives the arena window, so it
-              // gets an owning copy.
-              delayed_pending[to].emplace_back(
-                  v,
-                  std::vector<std::uint8_t>(
-                      slot.writer.data(),
-                      slot.writer.data() + (bits + 7) / 8),
-                  bits);
-              in_flight += 1;
-              continue;
-            case FaultInjector::Delivery::kDeliver:
-              break;
-          }
-        }
-        // Hot path: one bump-copy into the round arena; the mailbox holds
-        // a view (a duplicate fault shares the same bytes).
-        const std::size_t nbytes = (bits + 7) / 8;
-        std::uint8_t* mem = arena.allocate(nbytes);
-        if (nbytes != 0) {
-          std::memcpy(mem, slot.writer.data(), nbytes);
-        }
-        const std::uint8_t* payload = mem;
-        if (duplicate) {
-          mailboxes[to].emplace_back(v, payload, bits);
-          in_flight += 1;
-        }
-        mailboxes[to].emplace_back(v, payload, bits);
-        in_flight += 1;
-      }
-    }
-    arena_block_allocations_ =
-        arenas[0].block_allocations() + arenas[1].block_allocations();
-
-    metrics_.total_physical_messages += stats.physical_messages;
-    metrics_.total_logical_messages += stats.logical_messages;
-    metrics_.total_bits += stats.bits;
-    metrics_.max_bits_on_edge_round =
-        std::max(metrics_.max_bits_on_edge_round, stats.max_bits_on_edge);
-    metrics_.max_logical_on_edge_round =
-        std::max(metrics_.max_logical_on_edge_round, stats.max_logical_on_edge);
-    if (config_.record_per_round) {
-      metrics_.per_round.push_back(stats);
-    }
-
-    if (config_.stall_window != 0) {
-      const auto done_count = static_cast<std::size_t>(
-          std::count_if(programs.begin(), programs.end(),
-                        [](const auto& p) { return p->done(); }));
-      bool marker_advanced = false;
-      for (NodeId v = 0; v < n; ++v) {
-        const auto marker = programs[v]->progress_marker();
-        if (marker != last_markers[v]) {
-          marker_advanced = true;
-          last_markers[v] = marker;
-        }
-      }
-      const bool progress = consumed_this_round || marker_advanced ||
-                            done_count != last_done_count;
-      last_done_count = done_count;
-      if (progress) {
-        stall_rounds = 0;
-      } else if (++stall_rounds >= config_.stall_window) {
-        throw StallError(
-            "network stalled: no message in flight and no program finished "
-            "for " +
-            std::to_string(stall_rounds) + " consecutive rounds (round " +
-            std::to_string(round) + ", " + std::to_string(done_count) + "/" +
-            std::to_string(n) +
-            " nodes done) — suspect message loss, a crash-partition, or a "
-            "protocol deadlock");
-      }
-    }
-  }
-}
-
-RunMetrics Network::run_frontier(
-    std::vector<std::unique_ptr<NodeProgram>>& programs) {
-  const NodeId n = graph_->num_nodes();
-  CBC_EXPECTS(programs.size() == n, "one program per node required");
-  for (NodeId v = 0; v < n; ++v) {
-    CBC_EXPECTS(programs[v] != nullptr, "null program");
-  }
-
-  std::optional<FaultInjector> injector;
-  if (config_.faults != nullptr && !config_.faults->empty()) {
-    injector.emplace(*config_.faults, *graph_);
-  }
-
-  metrics_ = RunMetrics{};
-  arena_block_allocations_ = 0;
-  std::vector<std::vector<InboundMessage>> mailboxes(n);
-  std::vector<std::vector<InboundMessage>> delayed_pending(n);
-  for (NodeId v = 0; v < n; ++v) {
-    mailboxes[v].reserve(graph_->degree(v) + 1);
-  }
-  std::uint64_t in_flight = 0;
-
-  std::uint64_t stall_rounds = 0;
-  const std::uint64_t start_round =
-      apply_pending_resume(mailboxes, delayed_pending, programs, stall_rounds);
-  for (NodeId v = 0; v < n; ++v) {
-    in_flight += mailboxes[v].size() + delayed_pending[v].size();
-  }
-
   unsigned lanes =
       config_.threads == 0 ? ThreadPool::hardware_threads() : config_.threads;
   if (config_.frontier_clamp_lanes) {
@@ -995,10 +577,11 @@ RunMetrics Network::run_frontier(
   for (unsigned lane = 0; lane < lane_count; ++lane) {
     lane_ctxs.emplace_back(*graph_);
   }
-  // Per-lane double-buffered payload storage, same two-round lifetime as
-  // the arena engine's global pair: lane arenas for round r are reset at
-  // the top of round r + 2, strictly after the last reader.  Lane-private
-  // arenas keep the parallel flush free of shared mutable cache lines.
+  // Per-lane double-buffered payload storage (congest/arena.hpp): lane
+  // arenas for round r are reset at the top of round r + 2, strictly after
+  // the last reader (the programs of round r + 1; one-round delay faults
+  // take owning copies).  Lane-private arenas keep the parallel flush free
+  // of shared mutable cache lines.
   std::vector<std::array<PayloadArena, 2>> lane_arenas(lane_count);
 
   std::vector<std::uint8_t> node_up;
@@ -1056,7 +639,16 @@ RunMetrics Network::run_frontier(
     }
   }
 
-  // Watchdog state, mirrored from the arena engine; done counting is
+  // Stall watchdog state, with the legacy engine's semantics.  Progress
+  // means: the done() count changed, a program's progress_marker()
+  // advanced, or a live node *without* a marker consumed a message.  Mere
+  // transmission is never progress — under a drop-everything plan senders
+  // stay busy forever while the computation goes nowhere — and
+  // consumption by marker-bearing programs (the reliable transport) is
+  // ignored too, because their control chatter keeps flowing even when
+  // retransmitting into a dead peer.  After a resume the markers and done
+  // count are re-read from the restored programs — identical to what the
+  // uninterrupted run carried across this boundary.  Done counting is
   // incremental here (done_flags above) because only ran nodes can flip.
   std::size_t last_done_count = 0;
   std::vector<std::optional<std::uint64_t>> last_markers;
@@ -1070,8 +662,10 @@ RunMetrics Network::run_frontier(
     }
   }
 
-  // Hoisted (one-time) dispatch callables — see the arena engine's note
-  // on per-round std::function allocations.
+  // Hoisted (one-time) dispatch callables: constructing a std::function
+  // per round would be one heap allocation per round — the
+  // thread-count-dependent allocation drift bench_simulator asserts
+  // against.  run_range reads `round` through its reference capture.
   std::uint64_t round = start_round;
   const auto run_range = [&](unsigned lane, std::size_t lo, std::size_t hi) {
     obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kLaneDispatch,
@@ -1114,7 +708,7 @@ RunMetrics Network::run_frontier(
     // without running the phase machinery.  The skip stops at the next
     // timer wake and at every boundary the full loop would act on: the
     // round limit, the round where the stall watchdog fires (executed
-    // normally so the error text matches the arena engine exactly), the
+    // normally so the error text matches the legacy engine exactly), the
     // next checkpoint boundary, halt_at_round, and a polling cap when an
     // external halt flag is registered.
     if (!injector && in_flight == 0 && msg_wake.empty()) {
@@ -1159,10 +753,12 @@ RunMetrics Network::run_frontier(
       }
     }
 
-    // Phase 1 (sequential): crash bookkeeping, identical to the arena
-    // engine.  Only active nodes can hold mail (every delivery marks its
-    // receiver), so clearing crashed mailboxes over all nodes matches the
-    // arena scan message-for-message.
+    // Phase 1 (sequential): crash bookkeeping, identical to the legacy
+    // engine.  A crashed node freezes: its program does not run (state
+    // persists for a crash-restart), it sends nothing, and every message
+    // in its mailbox is lost.  Only active nodes can hold mail (every
+    // delivery marks its receiver), so clearing crashed mailboxes over all
+    // nodes matches the legacy scan message-for-message.
     if (injector) {
       obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kCrashBookkeeping,
                                round);
@@ -1188,7 +784,7 @@ RunMetrics Network::run_frontier(
     // Phase 2a (sequential): build this round's active set — the nodes
     // marked by last round's deliveries plus the nodes whose timer wake
     // is due — sorted ascending so contiguous chunks of it preserve the
-    // arena engine's node-id merge order.
+    // legacy engine's node-id merge order.
     bool consumed_this_round = false;
     {
       obs::ScopedSpan obs_span(config_.recorder, obs::Phase::kActiveSetBuild,
@@ -1226,7 +822,9 @@ RunMetrics Network::run_frontier(
     // Phase 2b (parallel): run the active nodes.  Each lane executes a
     // contiguous chunk of the sorted active set and flushes bundles into
     // its private arena; small active sets stay on the calling thread so
-    // dispatch overhead never dominates a sparse frontier.
+    // dispatch overhead never dominates a sparse frontier.  The first
+    // exception in chunk order is rethrown — the same one a sequential
+    // loop would raise.
     for (unsigned lane = 0; lane < lane_count; ++lane) {
       lane_arenas[lane][round & 1].reset();
     }
@@ -1256,7 +854,7 @@ RunMetrics Network::run_frontier(
 
     // Phase 4 (sequential merge): replay lane outboxes in lane order.
     // Chunks are contiguous ranges of the ascending active set, so this
-    // visits bundles in exactly the arena engine's (node id, adjacency
+    // visits bundles in exactly the legacy engine's (node id, adjacency
     // index) order for every lane count — the determinism argument of
     // DESIGN.md §13.  The span runs to the end of the iteration, covering
     // the merge and the watchdog bookkeeping.

@@ -15,18 +15,17 @@
 //     duplicates, one-round delays, link outages, and node crashes, all
 //     counted in RunMetrics and visible to the TraceSink.
 //
-// Execution engines (DESIGN.md §8/§13): each round splits into a
-// node-execution phase — embarrassingly parallel across nodes, run on
-// NetworkConfig::threads lanes — and a sequential merge phase that
-// bundles outboxes, applies faults, accounts metrics, and feeds the
-// trace in (node, adjacency) order.  Payloads live in double-buffered
-// bump arenas (congest/arena.hpp), so the hot path does no per-message
-// heap allocation and results are bit-identical for every thread count
-// and every EngineKind.  The default frontier engine additionally runs
-// only the *active* nodes each round (mail or a due
-// NodeProgram::next_active_round timer) and fast-forwards quiescent
-// stretches; the PR-2 static-partition engine and the PR-1 sequential
-// allocating engine are kept as baselines.
+// Execution engine (DESIGN.md §8/§13): each round runs only the *active*
+// nodes (mail or a due NodeProgram::next_active_round timer) and
+// fast-forwards quiescent stretches.  The active set is sorted and split
+// into contiguous chunks across NetworkConfig::threads lanes; a
+// sequential merge phase then bundles outboxes, applies faults, accounts
+// metrics, and feeds the trace in (node, adjacency) order.  Payloads live
+// in per-lane double-buffered bump arenas (congest/arena.hpp), so the hot
+// path does no per-message heap allocation and results are bit-identical
+// for every thread count.  The legacy sequential allocating engine
+// (NetworkConfig::legacy_engine) is kept as the reference the identity
+// tests compare metrics, traces, and fault events against.
 //
 // This simulator substitutes for the paper's (hypothetical) physical
 // message-passing network: the paper's complexity measure is rounds, which
@@ -78,25 +77,6 @@ class StallError : public InvariantError {
   using InvariantError::InvariantError;
 };
 
-/// Which round engine executes the run.  All three produce bit-identical
-/// metrics, traces, fault outcomes, and program results (asserted by
-/// tests/frontier_test.cpp); they differ only in speed and memory.
-enum class EngineKind : std::uint8_t {
-  /// Frontier-aware scheduler (default): each round runs only the nodes
-  /// with mail or a due timer (NodeProgram::next_active_round), partitions
-  /// the *sorted active set* across lanes with per-lane arenas/outboxes,
-  /// and fast-forwards fully quiescent stretches.  O(active) per round
-  /// instead of O(N) — the engine that makes 10^5..10^6-node graphs
-  /// tractable.
-  kFrontier = 0,
-  /// PR-2 static-partition engine: every node runs every round over a
-  /// fixed node-range split, global double-buffered arena.
-  kArena = 1,
-  /// PR-1 sequential allocating engine (per-send heap copies, per-outbox
-  /// stable_sort) — the reproducible baseline.
-  kLegacy = 2,
-};
-
 /// Simulator knobs.
 struct NetworkConfig {
   /// Per-directed-edge per-round bit budget; 0 disables the check (LOCAL
@@ -129,11 +109,12 @@ struct NetworkConfig {
   /// program results are bit-identical for every value — the merge phase
   /// is always sequential in node-id order.
   unsigned threads = 1;
-  /// Engine selection; results are bit-identical across all values.
-  EngineKind engine = EngineKind::kFrontier;
-  /// Compatibility alias: true forces EngineKind::kLegacy (the PR-1
-  /// sequential allocating engine; ignores `threads`).  Kept because the
-  /// flag predates the enum and is plumbed through existing callers.
+  /// Run the legacy sequential allocating engine (per-send heap copies,
+  /// per-outbox stable_sort; ignores `threads` and the frontier_* knobs)
+  /// instead of the frontier engine.  It runs every node every round, and
+  /// is the reference the identity tests check the frontier engine
+  /// against: metrics, traces, fault events, and program results are
+  /// bit-identical (tests/frontier_test.cpp).
   bool legacy_engine = false;
   /// Frontier engine: active sets smaller than this run on the calling
   /// thread even when a pool exists — chunking a handful of nodes across
@@ -209,8 +190,8 @@ class Network {
   const RunMetrics& last_metrics() const { return metrics_; }
 
   /// Payload-arena heap allocations performed by the most recent run()
-  /// of the zero-allocation engine (0 for the legacy engine) — flat
-  /// after warm-up; bench_simulator reports it.
+  /// of the frontier engine (0 for the legacy engine) — flat after
+  /// warm-up; bench_simulator reports it.
   std::uint64_t arena_block_allocations() const {
     return arena_block_allocations_;
   }
@@ -257,7 +238,6 @@ class Network {
  private:
   struct ResumeState;
 
-  RunMetrics run_engine(std::vector<std::unique_ptr<NodeProgram>>& programs);
   RunMetrics run_frontier(std::vector<std::unique_ptr<NodeProgram>>& programs);
   RunMetrics run_legacy(std::vector<std::unique_ptr<NodeProgram>>& programs);
 

@@ -87,11 +87,11 @@ inline constexpr std::uint64_t kActiveOnMessage = ~std::uint64_t{0};
 /// nodes in one round are independent in the CONGEST model, so a program
 /// must only touch its own state and its NodeContext, never anything
 /// shared.  Delivery and all accounting stay sequential in node-id order,
-/// so results are identical either way.  The default (arena and legacy)
-/// engines run every node every round; the frontier engine runs a node
-/// only in rounds where it has mail or where next_active_round() said it
-/// might act — identical observable behavior, because a skipped round is
-/// one the program itself declared a no-op.
+/// so results are identical either way.  The legacy reference engine
+/// runs every node every round; the frontier engine runs a node only in
+/// rounds where it has mail or where next_active_round() said it might
+/// act — identical observable behavior, because a skipped round is one
+/// the program itself declared a no-op.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;

@@ -8,22 +8,12 @@ const char* phase_name(Phase phase) {
   switch (phase) {
     case Phase::kCrashBookkeeping:
       return "crash_bookkeeping";
-    case Phase::kNodeExecute:
-      return "node_execute";
     case Phase::kDelayedRelease:
       return "delayed_release";
     case Phase::kMerge:
       return "merge";
     case Phase::kRound:
       return "round";
-    case Phase::kTreeBuild:
-      return "tree_build";
-    case Phase::kCountingWave:
-      return "counting_wave";
-    case Phase::kAggregation:
-      return "aggregation";
-    case Phase::kJob:
-      return "job";
     case Phase::kActiveSetBuild:
       return "active_set_build";
     case Phase::kLaneDispatch:

@@ -27,17 +27,13 @@
 namespace congestbc::obs {
 
 /// What a span measured.  Values are stable identifiers (they appear in
-/// Chrome trace exports); add new phases at the end.
+/// Chrome trace exports); add new phases at the end, and never reuse the
+/// retired ids 2 and 6..9.
 enum class Phase : std::uint16_t {
   kCrashBookkeeping = 1,  ///< engine round phase 1: fault + stall scan
-  kNodeExecute = 2,       ///< engine round phase 2: one lane's node range
   kDelayedRelease = 3,    ///< engine round phase 3: delayed-bundle swap
   kMerge = 4,             ///< engine round phase 4: outbox merge + metrics
   kRound = 5,             ///< one whole round (legacy engine)
-  kTreeBuild = 6,         ///< pipeline: BFS-tree build + DFS token
-  kCountingWave = 7,      ///< pipeline: staggered per-source counting
-  kAggregation = 8,       ///< pipeline: Algorithm 3 aggregation waves
-  kJob = 9,               ///< daemon: one job execution end to end
   kActiveSetBuild = 10,   ///< frontier engine: wake-heap pop + mark merge
   kLaneDispatch = 11,     ///< frontier engine: one lane's active chunk
   kQuiescenceSkip = 12,   ///< frontier engine: fast-forwarded empty rounds

@@ -37,8 +37,8 @@ struct BackendCapabilities {
   /// envelope for the distributed pipeline); false = approximate with a
   /// stated error bound.
   bool exact = true;
-  /// Runs on the CONGEST simulator engines (EngineKind honored,
-  /// bit-identical across engines/threads); false = round-accounted
+  /// Runs on the CONGEST simulator (threads and the legacy reference
+  /// engine honored, bit-identical across both); false = round-accounted
   /// simulation with its own cost model.
   bool simulator_engines = false;
   /// One-line when-to-use guidance (README table, `backends` listings).

@@ -1046,14 +1046,6 @@ void Daemon::parse_submit(const SubmitRequest& request, Graph& graph,
                            : std::min(request.max_rounds, config_.max_rounds_cap);
   options.threads = request.threads == 0 ? config_.default_threads
                                          : static_cast<unsigned>(request.threads);
-  options.legacy_engine = request.legacy_engine;
-  // v6 engine hint: a pure execution knob (all engines are bit-identical,
-  // so it is excluded from the fingerprint); the legacy_engine flag keeps
-  // winning for pre-v6 clients.
-  if (request.engine > static_cast<std::uint8_t>(EngineKind::kLegacy)) {
-    throw ProtocolError(ProtoError::kBadRequest, "unknown engine id");
-  }
-  options.engine = static_cast<EngineKind>(request.engine);
   // v5 portfolio fields.  kAuto stays unresolved here — handle_submit
   // resolves it under the scheduler lock where queue pressure is
   // observable, before anything fingerprints.  The approximation params
@@ -1977,8 +1969,6 @@ void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
           s.graph->version() >= job->stream_version) {
         const stream::IncrementalBcConfig& c = s.maintainer->config();
         if (c.halve == job->options.halve &&
-            c.legacy_engine == job->options.legacy_engine &&
-            c.engine == job->options.engine &&
             c.max_rounds == job->options.max_rounds) {
           for (std::uint64_t v = s.maintainer_version + 1;
                v <= job->stream_version; ++v) {
@@ -2005,8 +1995,6 @@ void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
       cfg.halve = job->options.halve;
       cfg.max_rounds = job->options.max_rounds;
       cfg.threads = job->options.threads;
-      cfg.engine = job->options.engine;
-      cfg.legacy_engine = job->options.legacy_engine;
       maintainer = std::make_unique<stream::IncrementalBc>(job->graph, cfg);
       stats.dirty_sources = maintainer->sources().size();
       detail = "incremental@v" + std::to_string(job->stream_version) +

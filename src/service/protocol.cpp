@@ -84,7 +84,6 @@ void encode_submit_body(BitWriter& w, const SubmitRequest& s) {
   put_string(w, s.faults);
   w.write_varuint(s.max_rounds);
   w.write_varuint(s.threads);
-  w.write_bool(s.legacy_engine);
   w.write_varuint(s.deadline_ms);
   w.write_varuint(s.attempt);
   put_string(w, s.stream_ns);
@@ -93,7 +92,6 @@ void encode_submit_body(BitWriter& w, const SubmitRequest& s) {
   w.write_varuint(s.backend);
   w.write_varuint(s.samples);
   w.write_varuint(s.sample_seed);
-  w.write_varuint(s.engine);
 }
 
 SubmitRequest decode_submit_body(BitReader& r) {
@@ -110,7 +108,6 @@ SubmitRequest decode_submit_body(BitReader& r) {
   s.faults = get_string(r);
   s.max_rounds = r.read_varuint();
   s.threads = static_cast<std::uint32_t>(r.read_varuint());
-  s.legacy_engine = r.read_bool();
   s.deadline_ms = r.read_varuint();
   s.attempt = static_cast<std::uint32_t>(r.read_varuint());
   s.stream_ns = get_string(r);
@@ -129,12 +126,6 @@ SubmitRequest decode_submit_body(BitReader& r) {
   }
   s.samples = static_cast<std::uint32_t>(samples);
   s.sample_seed = r.read_varuint();
-  const std::uint64_t engine = r.read_varuint();
-  if (engine > 2) {  // last EngineKind (kLegacy)
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown engine " + std::to_string(engine));
-  }
-  s.engine = static_cast<std::uint8_t>(engine);
   return s;
 }
 

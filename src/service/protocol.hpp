@@ -53,7 +53,11 @@ namespace congestbc::service {
 // engine hint, and the migration stats counters (PR 10).  The version
 // gates the whole frame, so older peers get kBadVersion instead of a
 // misparse.
-inline constexpr std::uint16_t kProtocolVersion = 6;
+//
+// v7 removed the SubmitRequest engine hint and legacy_engine flag: the
+// simulator has one engine, so SUBMIT and MIGRATE carry `threads` as
+// their only execution hint.
+inline constexpr std::uint16_t kProtocolVersion = 7;
 
 /// Frames larger than this are rejected before any allocation happens —
 /// the daemon-side cap on hostile length fields.  Generous enough for an
@@ -133,9 +137,10 @@ enum class GraphSource : std::uint8_t {
 };
 
 /// SUBMIT: one BC job.  Result-determining options mirror the
-/// DistributedBcOptions subset the daemon exposes; threads/legacy_engine
-/// are execution hints that do not enter the fingerprint (results are
-/// bit-identical across them, so they coalesce and share cache entries).
+/// DistributedBcOptions subset the daemon exposes; threads is an
+/// execution hint that does not enter the fingerprint (results are
+/// bit-identical across it, so such jobs coalesce and share cache
+/// entries).
 struct SubmitRequest {
   GraphSource source = GraphSource::kInline;
   std::string graph;  ///< edge-list text (kInline) or path (kPath)
@@ -145,9 +150,8 @@ struct SubmitRequest {
   std::string faults;
   /// Per-job round budget; 0 = daemon default (always clamped to it).
   std::uint64_t max_rounds = 0;
-  /// Execution hints (0 = daemon default; excluded from fingerprint).
+  /// Execution hint (0 = daemon default; excluded from fingerprint).
   std::uint32_t threads = 0;
-  bool legacy_engine = false;
   /// Client's remaining deadline budget in ms (0 = none).  Admission
   /// rejects (kDeadline) jobs it estimates cannot finish in time, and
   /// housekeeping expires jobs whose budget lapses while queued/running.
@@ -182,15 +186,6 @@ struct SubmitRequest {
   std::uint32_t samples = 0;
   /// Seed of the sampled backend's source draw.
   std::uint64_t sample_seed = 0;
-  // --- v6 cluster fields ----------------------------------------------
-  /// Simulator engine hint (congestbc::EngineKind on the wire): 0 =
-  /// frontier (the default), 1 = arena, 2 = legacy.  Pure execution
-  /// hint — excluded from the fingerprint like threads/legacy_engine
-  /// (results are bit-identical across engines), but it makes every
-  /// engine wire-selectable, so a migrated job resumes under the engine
-  /// the client asked for.  legacy_engine=true still wins for
-  /// backward compatibility.
-  std::uint8_t engine = 0;
 };
 
 /// One edge operation of a MUTATE batch (wire form of

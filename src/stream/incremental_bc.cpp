@@ -76,8 +76,6 @@ void IncrementalBc::run_source(const Graph& g, std::size_t index) {
   options.scale_by_sources = false;
   options.max_rounds = config_.max_rounds;
   options.threads = config_.threads;
-  options.engine = config_.engine;
-  options.legacy_engine = config_.legacy_engine;
   DistributedBcResult result = run_distributed_bc(g, options);
   SourceSummary& summary = summaries_[index];
   // With a single source, each node's "max distance to any source" IS

@@ -60,10 +60,8 @@ struct IncrementalBcConfig {
   /// sum likewise (the engine's sampled-estimator semantics).
   bool scale_by_sources = true;
   std::uint64_t max_rounds = 50'000'000;
-  /// Execution-only knobs — bit-identical results across all values.
+  /// Execution-only knob — bit-identical results across all values.
   unsigned threads = 1;
-  EngineKind engine = EngineKind::kFrontier;
-  bool legacy_engine = false;
 };
 
 /// What one apply() re-ran.

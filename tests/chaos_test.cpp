@@ -415,6 +415,61 @@ std::uint64_t craft_spool_req(const fs::path& spool, const std::string& text) {
   return fp;
 }
 
+/// Writes a spool job file as a protocol-v6 daemon left it on a drain:
+/// the same container as craft_spool_req, but the SUBMIT built field by
+/// field in the v6 layout, which carried a legacy_engine flag after
+/// `threads` and an engine hint after sample_seed.  Nothing in the file
+/// names the protocol version.
+std::uint64_t craft_v6_spool_req(const fs::path& spool,
+                                 const std::string& text) {
+  const Graph graph = read_edge_list_text(text);
+  DistributedBcOptions options;
+  options.halve = true;
+  options.max_rounds = 50'000'000;  // DaemonConfig default cap
+  options.threads = 1;              // DaemonConfig default_threads
+  const std::uint64_t fp = run_fingerprint(graph, options);
+
+  const auto put_string = [](BitWriter& w, const std::string& str) {
+    w.write_varuint(str.size());
+    for (const char c : str) {
+      w.write(static_cast<std::uint8_t>(c), 8);
+    }
+  };
+  BitWriter request;
+  request.write_varuint(static_cast<std::uint64_t>(MsgType::kSubmit));
+  request.write_varuint(0);                          // source: kInline
+  put_string(request, write_edge_list_text(graph));  // graph
+  request.write_bool(true);                          // halve
+  request.write_bool(false);                         // reliable
+  put_string(request, "");                           // faults
+  request.write_varuint(options.max_rounds);         // max_rounds
+  request.write_varuint(0);                          // threads
+  request.write_bool(false);                         // legacy_engine (v6)
+  request.write_varuint(0);                          // deadline_ms
+  request.write_varuint(1);                          // attempt
+  put_string(request, "");                           // stream_ns
+  request.write_varuint(0);                          // stream_version
+  request.write_bool(false);                         // incremental
+  request.write_varuint(1);                          // backend: paper_exact
+  request.write_varuint(0);                          // samples
+  request.write_varuint(0);                          // sample_seed
+  request.write_varuint(0);                          // engine (v6): frontier
+
+  BitWriter payload;
+  payload.write_varuint(1);  // kSpoolVersion
+  snap::put_u64(payload, fp);
+  snap::put_bits(payload, request.data(), request.bit_size());
+
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fp));
+  fs::create_directories(spool / "jobs");
+  std::ofstream out(spool / "jobs" / ("job-" + std::string(hex) + ".req"),
+                    std::ios::binary | std::ios::trunc);
+  write_snapshot_container(out, payload);
+  return fp;
+}
+
 // kill -9 landing between a job's TERMINAL journal record and its .req
 // unlink must not re-run the job: the journal remembers it finished.
 TEST(CrashSafety, JournalRetiredStaleReqIsRemovedNotRerun) {
@@ -493,10 +548,16 @@ TEST(CrashSafety, CorruptStateFilesAreQuarantinedNotFatal) {
   // A valid live job whose newest checkpoint is garbage: the scan must
   // quarantine the checkpoint and still resume the job from scratch.
   const std::uint64_t fp = craft_spool_req(spool.path(), karate);
+  // A live job a protocol-v6 daemon spooled on its drain: an upgraded
+  // daemon cannot decode it and must quarantine it, not resume it.
+  const std::uint64_t v6_fp = craft_v6_spool_req(
+      spool.path(), write_edge_list_text(gen::cycle(12)));
+  ASSERT_NE(v6_fp, fp);
   {
     SpoolJournal journal((spool.path() / "journal.log").string());
     journal.open_and_recover();
     journal.append(SpoolJournal::Record::kAdmit, fp);
+    journal.append(SpoolJournal::Record::kAdmit, v6_fp);
   }
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fp));
@@ -514,10 +575,16 @@ TEST(CrashSafety, CorruptStateFilesAreQuarantinedNotFatal) {
   Client client;
   harness.connect(client);
   const StatsReply stats = client.stats();
-  EXPECT_GE(stats.quarantined_files, 3u)
-      << "res + req + checkpoint must all be quarantined";
-  EXPECT_EQ(stats.jobs_resumed, 1u);
+  EXPECT_GE(stats.quarantined_files, 4u)
+      << "res + torn req + v6 req + checkpoint must all be quarantined";
+  EXPECT_EQ(stats.jobs_resumed, 1u) << "only the valid job may resume";
   EXPECT_TRUE(fs::exists(spool.path() / "quarantine"));
+  char v6_hex[17];
+  std::snprintf(v6_hex, sizeof v6_hex, "%016llx",
+                static_cast<unsigned long long>(v6_fp));
+  EXPECT_FALSE(fs::exists(spool.path() / "jobs" /
+                          ("job-" + std::string(v6_hex) + ".req")))
+      << "the v6 request must leave the job directory";
 
   // The quarantined names are preserved for postmortems.
   std::size_t quarantined = 0;
@@ -526,7 +593,7 @@ TEST(CrashSafety, CorruptStateFilesAreQuarantinedNotFatal) {
     (void)entry;
     ++quarantined;
   }
-  EXPECT_GE(quarantined, 3u);
+  EXPECT_GE(quarantined, 4u);
 
   // And the daemon serves normally on top of it all.
   const SubmitReply attach = client.submit(inline_submit(karate));

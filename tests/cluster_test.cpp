@@ -11,9 +11,8 @@
 //   * after a rebalance, the cross-worker LOOKUP probe serves cached
 //     blocks byte-identically from whichever worker still holds them;
 //   * the migration matrix: a job caught mid-run on worker A by a drain
-//     resumes on worker B bit-identically, across every
-//     {frontier, arena, legacy} engine × {paper_exact, cfp, sampled}
-//     backend combination;
+//     resumes on worker B bit-identically to a local legacy-engine run,
+//     for every {paper_exact, cfp, sampled} backend;
 //   * membership: health checks evict a dead worker from the ring, a
 //     JOIN heals the eviction, and jobs stranded on a lost worker answer
 //     kQueued through the migration grace window before failing typed;
@@ -436,17 +435,19 @@ TEST(ClusterRouter, CrossWorkerLookupServesByteIdenticalCachedBlocks) {
 // ------------------------------------------------ the migration matrix
 
 // A job caught mid-run on worker A by a SIGTERM-style drain resumes on
-// worker B and finishes bit-identically to an uninterrupted local run —
-// for every engine × backend combination the wire can name.  (cfp is
-// not checkpointable: its transplant re-runs from scratch or ships the
-// finished result; either way the bits must not change.)
+// worker B and finishes bit-identically to an uninterrupted local run
+// (the legacy reference engine for the simulator backends) — for every
+// backend the matrix names.  (cfp is not checkpointable: its transplant
+// re-runs from scratch or ships the finished result; either way the
+// bits must not change.)
 TEST(ClusterMigration, DrainedJobsResumeOnSurvivorBitIdenticallyAcrossMatrix) {
   const Graph graph = gen::cycle(300);
   const std::string text = write_edge_list_text(graph);
 
-  // Per-backend local references, computed once (engines share bits).
-  const RunOutcome ref_exact =
-      run_bc_with_watchdog(graph, DistributedBcOptions{});
+  // Per-backend local references, computed once.
+  DistributedBcOptions legacy;
+  legacy.legacy_engine = true;
+  const RunOutcome ref_exact = run_bc_with_watchdog(graph, legacy);
   ASSERT_EQ(ref_exact.status, RunStatus::kComplete) << ref_exact.detail;
   portfolio::BackendRequest cfp_request;
   cfp_request.graph = &graph;
@@ -455,76 +456,71 @@ TEST(ClusterMigration, DrainedJobsResumeOnSurvivorBitIdenticallyAcrossMatrix) {
   ASSERT_EQ(ref_cfp.status, RunStatus::kComplete) << ref_cfp.detail;
   portfolio::BackendRequest sampled_request;
   sampled_request.graph = &graph;
+  sampled_request.options = legacy;
   sampled_request.options.backend = BackendId::kSampled;
   sampled_request.options.approx_samples = 8;
   sampled_request.options.approx_seed = 1;
   const RunOutcome ref_sampled = portfolio::run_portfolio(sampled_request);
   ASSERT_EQ(ref_sampled.status, RunStatus::kComplete) << ref_sampled.detail;
 
-  constexpr std::uint8_t kEngines[] = {0, 1, 2};   // frontier/arena/legacy
   constexpr std::uint8_t kBackends[] = {1, 2, 4};  // exact/cfp/sampled
-  for (const std::uint8_t engine : kEngines) {
-    for (const std::uint8_t backend : kBackends) {
-      SCOPED_TRACE("engine=" + std::to_string(engine) +
-                   " backend=" + std::to_string(backend));
-      TempDir spool("migrate_e" + std::to_string(engine) + "_b" +
-                    std::to_string(backend));
-      RouterConfig rc;
-      rc.health_every_ms = 100;
-      rc.migration_grace_ms = 30'000;
-      RouterHarness router(rc);
-      DaemonConfig config_a =
-          worker_config(router.address(), (spool.path() / "a").string());
-      DaemonConfig config_b =
-          worker_config(router.address(), (spool.path() / "b").string());
-      config_a.checkpoint_every = 8;
-      config_b.checkpoint_every = 8;
-      WorkerHarness a(config_a);
-      WorkerHarness b(config_b);
-      ASSERT_TRUE(wait_until(
-          [&] { return router.router().stats().workers_active == 2; }));
+  for (const std::uint8_t backend : kBackends) {
+    SCOPED_TRACE("backend=" + std::to_string(backend));
+    TempDir spool("migrate_b" + std::to_string(backend));
+    RouterConfig rc;
+    rc.health_every_ms = 100;
+    rc.migration_grace_ms = 30'000;
+    RouterHarness router(rc);
+    DaemonConfig config_a =
+        worker_config(router.address(), (spool.path() / "a").string());
+    DaemonConfig config_b =
+        worker_config(router.address(), (spool.path() / "b").string());
+    config_a.checkpoint_every = 8;
+    config_b.checkpoint_every = 8;
+    WorkerHarness a(config_a);
+    WorkerHarness b(config_b);
+    ASSERT_TRUE(wait_until(
+        [&] { return router.router().stats().workers_active == 2; }));
 
-      Client client;
-      router.connect(client);
-      SubmitRequest submit = inline_submit(text);
-      submit.engine = engine;
-      submit.backend = backend;
-      if (backend == 4) {
-        submit.samples = 8;
-        submit.sample_seed = 1;
-      }
-      const SubmitReply admitted = client.submit(submit);
-      ASSERT_EQ(admitted.disposition, SubmitDisposition::kQueued)
-          << admitted.detail;
-
-      // Let the job leave the queue (running, or done for fast backends)
-      // so the drain catches real mid-flight state, then kill its home.
-      ASSERT_TRUE(wait_until([&] {
-        return client.status(admitted.job_id).state != JobState::kQueued;
-      }, 60'000));
-      const bool home_is_a = a.daemon().stats().submits > 0;
-      WorkerHarness& home = home_is_a ? a : b;
-      WorkerHarness& survivor = home_is_a ? b : a;
-      home.stop();  // drain: suspend, checkpoint, MIGRATE via the router
-
-      EXPECT_GE(home.daemon().stats().migrated_out, 1u)
-          << "the drain shipped nothing";
-      ASSERT_TRUE(wait_until(
-          [&] { return survivor.daemon().stats().migrated_in >= 1; }, 10'000))
-          << "the survivor never admitted the transplant";
-
-      const ResultReply reply = client.wait_result(admitted.job_id, 20,
-                                                   120'000);
-      ASSERT_TRUE(reply.ready) << reply.detail;
-      const ResultBlock block = decode_block(reply);
-      const RunOutcome& ref = backend == 1   ? ref_exact
-                              : backend == 2 ? ref_cfp
-                                             : ref_sampled;
-      EXPECT_EQ(block.rounds, ref.result.rounds);
-      expect_bit_equal(block.betweenness, ref.result.betweenness,
-                       "betweenness");
-      expect_bit_equal(block.stress, ref.result.stress, "stress");
+    Client client;
+    router.connect(client);
+    SubmitRequest submit = inline_submit(text);
+    submit.backend = backend;
+    if (backend == 4) {
+      submit.samples = 8;
+      submit.sample_seed = 1;
     }
+    const SubmitReply admitted = client.submit(submit);
+    ASSERT_EQ(admitted.disposition, SubmitDisposition::kQueued)
+        << admitted.detail;
+
+    // Let the job leave the queue (running, or done for fast backends)
+    // so the drain catches real mid-flight state, then kill its home.
+    ASSERT_TRUE(wait_until([&] {
+      return client.status(admitted.job_id).state != JobState::kQueued;
+    }, 60'000));
+    const bool home_is_a = a.daemon().stats().submits > 0;
+    WorkerHarness& home = home_is_a ? a : b;
+    WorkerHarness& survivor = home_is_a ? b : a;
+    home.stop();  // drain: suspend, checkpoint, MIGRATE via the router
+
+    EXPECT_GE(home.daemon().stats().migrated_out, 1u)
+        << "the drain shipped nothing";
+    ASSERT_TRUE(wait_until(
+        [&] { return survivor.daemon().stats().migrated_in >= 1; }, 10'000))
+        << "the survivor never admitted the transplant";
+
+    const ResultReply reply = client.wait_result(admitted.job_id, 20,
+                                                 120'000);
+    ASSERT_TRUE(reply.ready) << reply.detail;
+    const ResultBlock block = decode_block(reply);
+    const RunOutcome& ref = backend == 1   ? ref_exact
+                            : backend == 2 ? ref_cfp
+                                           : ref_sampled;
+    EXPECT_EQ(block.rounds, ref.result.rounds);
+    expect_bit_equal(block.betweenness, ref.result.betweenness,
+                     "betweenness");
+    expect_bit_equal(block.stress, ref.result.stress, "stress");
   }
 }
 

@@ -1,13 +1,15 @@
-// The frontier-aware engine (DESIGN.md §13) must be a pure optimization:
-//   * BC values, metrics, trace stream, and fault outcomes are
-//     bit-identical to the static-partition arena engine and the PR-1
-//     legacy engine, for every thread count, fault-free and under the
-//     mixed fault plan;
+// The frontier engine (DESIGN.md §13) must be a pure optimization of the
+// legacy engine, which every identity check here uses as its reference
+// at one lane:
+//   * BC values, metrics (cut-bit accounting included), trace stream,
+//     and fault outcomes are bit-identical to the legacy engine for every
+//     thread count (0 = one lane per hardware thread), fault-free and
+//     under the mixed fault plan;
 //   * identity holds on generated scale-free graphs with sampled sources
 //     (the workloads the engine exists for), not just the tiny datasets;
 //   * PR-3 snapshots round-trip the engine's rebuilt-on-resume wake
 //     state: kill-and-resume is bit-identical to the uninterrupted run,
-//     including resuming under a *different* engine than wrote the
+//     including resuming under the *other* engine than wrote the
 //     snapshot (the snapshot format is engine-agnostic).
 //
 // The tests force frontier_min_parallel_nodes = 1 and
@@ -50,8 +52,9 @@ Graph load_dataset(const char* name) {
                            " not found (run from repo root)");
 }
 
-/// The PR-1 mixed adversity plan (same parameters as engine_test.cpp so
-/// the two suites witness the same fault stream).
+/// The mixed adversity plan: hash-drawn drop/duplicate/delay plus a
+/// transient link outage (on an edge the graph actually has) and a
+/// transient crash-restart.
 FaultPlan mixed_fault_plan(const Graph& g) {
   FaultPlan plan;
   plan.seed = 99;
@@ -70,7 +73,6 @@ FaultPlan mixed_fault_plan(const Graph& g) {
 /// dispatch from the very first active node.
 DistributedBcOptions frontier_options(unsigned threads) {
   DistributedBcOptions options;
-  options.engine = EngineKind::kFrontier;
   options.threads = threads;
   options.frontier_clamp_lanes = false;
   options.frontier_min_parallel_nodes = 1;
@@ -117,39 +119,32 @@ void expect_identical(const Observed& a, const Observed& b) {
   EXPECT_EQ(a.fault_events, b.fault_events);
 }
 
-// ------------------------------------------- the three-engine identity
-//
-// Reference = arena @ 1 thread.  Everything else — legacy, arena @ many
-// threads, frontier @ {1, 2, 4, 8} — must observe the same stream.
+/// The reference every identity check compares against: the legacy
+/// engine at one lane.
+Observed observe_legacy(const Graph& g, DistributedBcOptions options) {
+  options.legacy_engine = true;
+  options.threads = 1;
+  return observe(g, options);
+}
 
-void expect_engine_matrix_identical(const Graph& g,
-                                    DistributedBcOptions base) {
+// ------------------------------------------------- the engine identity
+//
+// Reference = legacy @ 1 lane.  The frontier engine @ {1, 2, 4, 8, 0}
+// lanes (0 = one per hardware thread) must observe the same stream.
+// Returns the reference for case-specific checks.
+
+Observed expect_engine_matrix_identical(const Graph& g,
+                                        DistributedBcOptions base) {
   base.frontier_clamp_lanes = false;
   base.frontier_min_parallel_nodes = 1;
-
-  DistributedBcOptions arena = base;
-  arena.engine = EngineKind::kArena;
-  arena.threads = 1;
-  const Observed reference = observe(g, arena);
-
-  {
-    SCOPED_TRACE("legacy");
-    DistributedBcOptions legacy = base;
-    legacy.engine = EngineKind::kLegacy;
-    expect_identical(reference, observe(g, legacy));
-  }
-  for (const unsigned threads : {2u, 8u}) {
-    SCOPED_TRACE("arena threads=" + std::to_string(threads));
-    arena.threads = threads;
-    expect_identical(reference, observe(g, arena));
-  }
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+  Observed reference = observe_legacy(g, base);
+  for (const unsigned threads : {1u, 2u, 4u, 8u, 0u}) {
     SCOPED_TRACE("frontier threads=" + std::to_string(threads));
     DistributedBcOptions frontier = base;
-    frontier.engine = EngineKind::kFrontier;
     frontier.threads = threads;
     expect_identical(reference, observe(g, frontier));
   }
+  return reference;
 }
 
 TEST(FrontierIdentity, FaultFreeKarate) {
@@ -176,23 +171,28 @@ TEST(FrontierIdentity, MixedFaultsLesmis) {
   expect_engine_matrix_identical(g, options);
 }
 
+TEST(FrontierIdentity, BarbellCutAccounting) {
+  const Graph g = gen::barbell(6, 4);
+  DistributedBcOptions options;
+  options.cut_edges = {Edge{5, 6}};  // the barbell bridge
+  const Observed reference = expect_engine_matrix_identical(g, options);
+  EXPECT_GT(reference.result.metrics.cut_bits, 0u);
+}
+
 // --------------------------------------- generated graphs, sampled BC
 //
 // The workloads the frontier engine exists for: scale-free generators
 // with a sampled source set, where the active set is a sliver of N for
-// most of the run.  Legacy is omitted above 2k nodes (it is ~100x
-// slower and its identity is already pinned on the datasets).
+// most of the run.  The legacy reference runs every node every round, so
+// it dominates these tests' time; it is used anyway because it is the
+// only reference that checks metrics and traces, not just results.
 
 TEST(FrontierIdentity, Ba2000SampledSources) {
   Rng rng(7);
   const Graph g = gen::barabasi_albert(2000, 2, rng);
   DistributedBcOptions base;
   base.sources = sampled_sources(g.num_nodes(), 16, 11);
-
-  DistributedBcOptions arena = base;
-  arena.engine = EngineKind::kArena;
-  arena.threads = 1;
-  const Observed reference = observe(g, arena);
+  const Observed reference = observe_legacy(g, base);
 
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("frontier threads=" + std::to_string(threads));
@@ -211,11 +211,7 @@ TEST(FrontierIdentity, Ba10kSampledSources) {
   const Graph g = gen::barabasi_albert(10'000, 2, rng);
   DistributedBcOptions base;
   base.sources = sampled_sources(g.num_nodes(), 4, 17);
-
-  DistributedBcOptions arena = base;
-  arena.engine = EngineKind::kArena;
-  arena.threads = 1;
-  const Observed reference = observe(g, arena);
+  const Observed reference = observe_legacy(g, base);
 
   for (const unsigned threads : {1u, 8u}) {
     SCOPED_TRACE("frontier threads=" + std::to_string(threads));
@@ -232,11 +228,7 @@ TEST(FrontierIdentity, SparseErWithFaults) {
   options.reliable_transport = true;
   options.faults = mixed_fault_plan(g);
   options.sources = sampled_sources(g.num_nodes(), 6, 29);
-
-  DistributedBcOptions arena = options;
-  arena.engine = EngineKind::kArena;
-  arena.threads = 1;
-  const Observed reference = observe(g, arena);
+  const Observed reference = observe_legacy(g, options);
 
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("frontier threads=" + std::to_string(threads));
@@ -292,7 +284,7 @@ void check_resume(const Graph& g, const DistributedBcOptions& base,
       testing::TempDir() + "frontier_resume_" + tag + ".snap";
 
   DistributedBcOptions writer = base;
-  writer.engine = writer_opts.engine;
+  writer.legacy_engine = writer_opts.legacy_engine;
   writer.threads = writer_opts.threads;
   writer.frontier_clamp_lanes = false;
   writer.frontier_min_parallel_nodes = 1;
@@ -301,7 +293,7 @@ void check_resume(const Graph& g, const DistributedBcOptions& base,
   EXPECT_EQ(halted.result.rounds, halt_round);
 
   DistributedBcOptions resumer = base;
-  resumer.engine = resumer_opts.engine;
+  resumer.legacy_engine = resumer_opts.legacy_engine;
   resumer.threads = resumer_opts.threads;
   resumer.frontier_clamp_lanes = false;
   resumer.frontier_min_parallel_nodes = 1;
@@ -328,10 +320,15 @@ void check_resume(const Graph& g, const DistributedBcOptions& base,
   EXPECT_EQ(full.fault_events, stitched_faults);
 }
 
-DistributedBcOptions engine_at(EngineKind engine, unsigned threads) {
+DistributedBcOptions frontier_at(unsigned threads) {
   DistributedBcOptions o;
-  o.engine = engine;
   o.threads = threads;
+  return o;
+}
+
+DistributedBcOptions legacy_at_one() {
+  DistributedBcOptions o;
+  o.legacy_engine = true;
   return o;
 }
 
@@ -343,22 +340,21 @@ TEST(FrontierResume, KarateRoundTripsAcrossEnginesAndThreads) {
   const std::uint64_t mid = full.result.rounds / 2;
 
   // Same-engine round trips at several boundaries and thread counts.
-  check_resume(g, base, full, 1, engine_at(EngineKind::kFrontier, 1),
-               engine_at(EngineKind::kFrontier, 1), "frontier1_frontier1");
-  check_resume(g, base, full, mid, engine_at(EngineKind::kFrontier, 1),
-               engine_at(EngineKind::kFrontier, 8), "frontier1_frontier8");
-  check_resume(g, base, full, full.result.rounds - 1,
-               engine_at(EngineKind::kFrontier, 4),
-               engine_at(EngineKind::kFrontier, 2), "frontier4_frontier2");
+  check_resume(g, base, full, 1, frontier_at(1), frontier_at(1),
+               "frontier1_frontier1");
+  check_resume(g, base, full, mid, frontier_at(1), frontier_at(8),
+               "frontier1_frontier8");
+  check_resume(g, base, full, full.result.rounds - 1, frontier_at(4),
+               frontier_at(2), "frontier4_frontier2");
 
-  // Cross-engine: arena-written snapshot resumed under frontier and the
+  // Cross-engine: legacy-written snapshot resumed under frontier and the
   // reverse — the snapshot format carries no engine state.
-  check_resume(g, base, full, mid, engine_at(EngineKind::kArena, 1),
-               engine_at(EngineKind::kFrontier, 4), "arena_frontier");
-  check_resume(g, base, full, mid, engine_at(EngineKind::kFrontier, 4),
-               engine_at(EngineKind::kArena, 1), "frontier_arena");
-  check_resume(g, base, full, mid, engine_at(EngineKind::kLegacy, 1),
-               engine_at(EngineKind::kFrontier, 2), "legacy_frontier");
+  check_resume(g, base, full, mid, legacy_at_one(), frontier_at(4),
+               "legacy_frontier4");
+  check_resume(g, base, full, mid, frontier_at(4), legacy_at_one(),
+               "frontier4_legacy");
+  check_resume(g, base, full, mid, legacy_at_one(), frontier_at(2),
+               "legacy_frontier2");
 }
 
 TEST(FrontierResume, MixedFaultsKarateRoundTrips) {
@@ -372,13 +368,12 @@ TEST(FrontierResume, MixedFaultsKarateRoundTrips) {
   // Halt inside the fault window (rounds 20-40 have a crashed node and
   // 10-60 a dead link) so delayed mailboxes and crash state cross the
   // snapshot boundary.
-  check_resume(g, base, full, 30, engine_at(EngineKind::kFrontier, 2),
-               engine_at(EngineKind::kFrontier, 8), "faults_mid_window");
-  check_resume(g, base, full, 30, engine_at(EngineKind::kArena, 1),
-               engine_at(EngineKind::kFrontier, 4), "faults_arena_frontier");
-  check_resume(g, base, full, full.result.rounds / 2,
-               engine_at(EngineKind::kFrontier, 4),
-               engine_at(EngineKind::kFrontier, 1), "faults_late");
+  check_resume(g, base, full, 30, frontier_at(2), frontier_at(8),
+               "faults_mid_window");
+  check_resume(g, base, full, 30, legacy_at_one(), frontier_at(4),
+               "faults_legacy_frontier");
+  check_resume(g, base, full, full.result.rounds / 2, frontier_at(4),
+               frontier_at(1), "faults_late");
 }
 
 TEST(FrontierResume, Ba2000SampledRoundTrip) {
@@ -391,12 +386,10 @@ TEST(FrontierResume, Ba2000SampledRoundTrip) {
 
   // Halt deep in the run, where the active set is a sliver of N and the
   // wake heap carries far-future timers that must be rebuilt on resume.
-  check_resume(g, base, full, full.result.rounds * 3 / 4,
-               engine_at(EngineKind::kFrontier, 4),
-               engine_at(EngineKind::kFrontier, 1), "ba2000_deep");
-  check_resume(g, base, full, full.result.rounds / 4,
-               engine_at(EngineKind::kFrontier, 1),
-               engine_at(EngineKind::kArena, 2), "ba2000_frontier_arena");
+  check_resume(g, base, full, full.result.rounds * 3 / 4, frontier_at(4),
+               frontier_at(1), "ba2000_deep");
+  check_resume(g, base, full, full.result.rounds / 4, frontier_at(1),
+               legacy_at_one(), "ba2000_frontier_legacy");
 }
 
 }  // namespace

@@ -61,7 +61,6 @@ SubmitRequest sample_submit() {
   submit.faults = "drop=0.1,seed=7";
   submit.max_rounds = 123456789;
   submit.threads = 4;
-  submit.legacy_engine = true;
   return submit;
 }
 
@@ -78,7 +77,6 @@ TEST(ProtocolRoundTrip, SubmitRequest) {
   EXPECT_EQ(decoded.faults, original.submit.faults);
   EXPECT_EQ(decoded.max_rounds, original.submit.max_rounds);
   EXPECT_EQ(decoded.threads, original.submit.threads);
-  EXPECT_EQ(decoded.legacy_engine, original.submit.legacy_engine);
 }
 
 TEST(ProtocolRoundTrip, PortfolioSubmitFieldsSurviveV5) {
@@ -691,7 +689,6 @@ TEST(Framing, HostileMigrateSnapshotLengthRejectedBeforeAllocation) {
   payload.write_varuint(0);                      // faults length
   payload.write_varuint(0);                      // max_rounds
   payload.write_varuint(0);                      // threads
-  payload.write_bool(false);                     // legacy_engine
   payload.write_varuint(0);                      // deadline_ms
   payload.write_varuint(1);                      // attempt
   payload.write_varuint(0);                      // stream_ns length
@@ -699,8 +696,7 @@ TEST(Framing, HostileMigrateSnapshotLengthRejectedBeforeAllocation) {
   payload.write_bool(false);                     // incremental
   payload.write_varuint(1);                      // backend
   payload.write_varuint(0);                      // samples
-  payload.write(0, 64);                          // sample_seed
-  payload.write_varuint(0);                      // engine
+  payload.write_varuint(0);                      // sample_seed
   payload.write_varuint(0);                      // snapshot_round
   payload.write_varuint(1ull << 62);             // snapshot byte count: hostile
   const DrainResult result = drain(frame_bytes(payload));

@@ -5,8 +5,9 @@
 //   * a SUBMIT computes the same bits a direct run_bc_with_watchdog call
 //     produces — the daemon adds serving, not numerics;
 //   * a cache hit serves the byte-identical encoded block the original
-//     execution produced, and execution hints (threads, engine) share
-//     cache entries because results are bit-identical across them;
+//     execution produced, and the execution hint (threads) shares cache
+//     entries because results are bit-identical across it — and the
+//     served bytes match the legacy reference engine;
 //   * identical concurrent submits coalesce into ONE execution with N
 //     correct replies;
 //   * admission control: queue-full -> kBusy, draining -> kDraining,
@@ -188,43 +189,44 @@ TEST(ServiceDaemon, CacheHitIsBitIdenticalAcrossEnginesAndThreads) {
     const std::string text = data_file(name);
     const Graph graph = read_edge_list_text(text);
 
-    // One fresh execution (daemon default: threads=1, current engine).
+    // One fresh execution (daemon default: threads=1).
     const SubmitReply first = client.submit(inline_submit(text));
     ASSERT_EQ(first.disposition, SubmitDisposition::kQueued) << first.detail;
     const ResultReply fresh = client.wait_result(first.job_id);
     ASSERT_TRUE(fresh.ready);
 
-    // Every (engine, threads) variant maps to the same fingerprint and is
-    // served the byte-identical cached block.
-    for (const bool legacy : {false, true}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        SubmitRequest variant = inline_submit(text);
-        variant.legacy_engine = legacy;
-        variant.threads = threads;
-        const SubmitReply hit = client.submit(variant);
-        EXPECT_EQ(hit.disposition, SubmitDisposition::kCacheHit)
-            << name << " legacy=" << legacy << " threads=" << threads;
-        EXPECT_EQ(hit.fingerprint, first.fingerprint);
-        const ResultReply cached = client.wait_result(hit.job_id);
-        ASSERT_TRUE(cached.ready);
-        EXPECT_TRUE(cached.from_cache);
-        EXPECT_EQ(cached.block_bits, fresh.block_bits);
-        EXPECT_EQ(cached.block_bytes, fresh.block_bytes)
-            << name << ": cached bytes differ from the fresh execution";
+    // Every threads variant maps to the same fingerprint and is served
+    // the byte-identical cached block.
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SubmitRequest variant = inline_submit(text);
+      variant.threads = threads;
+      const SubmitReply hit = client.submit(variant);
+      EXPECT_EQ(hit.disposition, SubmitDisposition::kCacheHit)
+          << name << " threads=" << threads;
+      EXPECT_EQ(hit.fingerprint, first.fingerprint);
+      const ResultReply cached = client.wait_result(hit.job_id);
+      ASSERT_TRUE(cached.ready);
+      EXPECT_TRUE(cached.from_cache);
+      EXPECT_EQ(cached.block_bits, fresh.block_bits);
+      EXPECT_EQ(cached.block_bytes, fresh.block_bytes)
+          << name << ": cached bytes differ from the fresh execution";
 
-        // And the cached bytes match what that exact configuration would
-        // have computed locally — the claim behind sharing the entry.
-        DistributedBcOptions options;
-        options.legacy_engine = legacy;
-        options.threads = threads;
-        expect_matches_local_run(cached, graph, options);
-      }
+      // And the cached bytes match what that exact configuration would
+      // have computed locally — the claim behind sharing the entry.
+      DistributedBcOptions options;
+      options.threads = threads;
+      expect_matches_local_run(cached, graph, options);
     }
+
+    // The served bytes also match the legacy reference engine.
+    DistributedBcOptions legacy;
+    legacy.legacy_engine = true;
+    expect_matches_local_run(fresh, graph, legacy);
   }
 
   const StatsReply stats = harness.daemon().stats();
   EXPECT_EQ(stats.jobs_completed, 2u);  // one execution per graph
-  EXPECT_EQ(stats.cache_hits, 8u);      // 2 graphs x 2 engines x 2 thread counts
+  EXPECT_EQ(stats.cache_hits, 4u);      // 2 graphs x 2 thread counts
 }
 
 TEST(ServiceDaemon, ConcurrentIdenticalSubmitsCoalesceIntoOneExecution) {

@@ -348,8 +348,8 @@ TEST(SnapshotResume, BitIdenticalLegacyEngineMixedFaults) {
 }
 
 /// The snapshot format is engine-independent: a snapshot written by the
-/// zero-allocation engine resumes under the legacy engine (and vice
-/// versa) with identical results.
+/// frontier engine resumes under the legacy engine (and vice versa) with
+/// identical results.
 TEST(SnapshotResume, CrossEngineResume) {
   const Graph g = load_data("karate.txt");
   TempDir dir("cross_engine");

@@ -10,8 +10,8 @@
 //     re-run would show;
 //   * the differential guarantee: after ANY mutation sequence the
 //     maintained scores are bit-identical to a from-scratch build at
-//     the same version, across engines and thread counts (`rounds` is
-//     work accounting, not a result bit, and is excluded);
+//     the same version, across thread counts (`rounds` is work
+//     accounting, not a result bit, and is excluded);
 //   * daemon MUTATE semantics: create / apply / version-conflict /
 //     surgical cache invalidation, stream-addressed and incremental
 //     SUBMIT, and — through the crash-safe journal — a SIGKILLed daemon
@@ -220,9 +220,9 @@ TEST(IncrementalBcRule, EquidistantOpsAreCleanLevelCrossingOpsAreDirty) {
 // ------------------------------------------------- the property matrix
 
 // Random mutation sequences (insert / delete / no-op / duplicate) on a
-// connected base; at EVERY version, maintainers running under different
-// engines and thread counts must all be bit-identical to a from-scratch
-// build at that version.  Connectivity is preserved by construction:
+// connected base; at EVERY version, maintainers running at different
+// thread counts must all be bit-identical to a from-scratch build at
+// that version.  Connectivity is preserved by construction:
 // only chords are ever deleted, never the base cycle.
 TEST(StreamProperty, IncrementalMatchesScratchAcrossEnginesAndThreads) {
   const NodeId n = 20;
@@ -233,24 +233,14 @@ TEST(StreamProperty, IncrementalMatchesScratchAcrossEnginesAndThreads) {
     const char* name;
     IncrementalBc inc;
   };
-  const auto config_for = [&](EngineKind engine, unsigned threads,
-                              bool legacy) {
+  const auto config_for = [&](unsigned threads) {
     IncrementalBcConfig config;
-    config.engine = engine;
     config.threads = threads;
-    config.legacy_engine = legacy;
     return config;
   };
   std::vector<Lane> lanes;
-  lanes.push_back({"frontier/1t",
-                   IncrementalBc(base, config_for(EngineKind::kFrontier, 1,
-                                                  false))});
-  lanes.push_back({"arena/4t",
-                   IncrementalBc(base, config_for(EngineKind::kArena, 4,
-                                                  false))});
-  lanes.push_back({"legacy",
-                   IncrementalBc(base, config_for(EngineKind::kLegacy, 1,
-                                                  true))});
+  lanes.push_back({"frontier/1t", IncrementalBc(base, config_for(1))});
+  lanes.push_back({"frontier/4t", IncrementalBc(base, config_for(4))});
 
   Rng rng(20260808);
   std::uint64_t total_clean = 0;

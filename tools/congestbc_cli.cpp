@@ -41,10 +41,6 @@
 //   --threads T      simulator lanes for the node-execution phase
 //                    (default 1; 0 = one per hardware thread; results are
 //                    bit-identical for every value)
-//   --engine E       simulator engine: frontier (default; frontier-aware
-//                    scheduling, per-round cost tracks the active set),
-//                    arena (PR-2 static partition), or legacy (PR-1
-//                    sequential baseline); results are bit-identical
 //   --checkpoint-every N  write a full snapshot every N rounds into
 //                    --checkpoint-dir (atomic write-rename; newest
 //                    --checkpoint-keep files retained, default 2)
@@ -118,8 +114,7 @@ constexpr const char* kUsage =
     "         --mantissa L | --metrics | --stats | --apsp | --trace |\n"
     "         --trace-out FILE | --json | --seed S | --faults SPEC |\n"
     "         --reliable |\n"
-    "         --stall-window N | --threads T | --engine E |\n"
-    "         --checkpoint-every N |\n"
+    "         --stall-window N | --threads T | --checkpoint-every N |\n"
     "         --checkpoint-dir D | --checkpoint-keep K | --resume FILE |\n"
     "         --halt-at-round R | --dump-graph FILE |\n"
     "         --backend B | --sample-seed S\n";
@@ -209,19 +204,11 @@ Digraph load_digraph(const Args& args) {
   return read_directed_edge_list(file);
 }
 
-EngineKind parse_engine(const std::string& name) {
-  if (name == "frontier") return EngineKind::kFrontier;
-  if (name == "arena") return EngineKind::kArena;
-  if (name == "legacy") return EngineKind::kLegacy;
-  throw PreconditionError("unknown --engine: " + name +
-                          " (expected frontier, arena, or legacy)");
-}
-
 int run(int argc, char** argv) {
   const Args args = Args::parse(argc, argv,
                                 {"generate", "n", "seed", "top", "samples",
                                  "mantissa", "faults", "stall-window",
-                                 "threads", "engine", "checkpoint-every",
+                                 "threads", "checkpoint-every",
                                  "checkpoint-dir", "checkpoint-keep",
                                  "resume", "halt-at-round", "dump-graph",
                                  "trace-out", "backend", "sample-seed"});
@@ -359,9 +346,6 @@ int run(int argc, char** argv) {
     bc_options.backend = backend;
     bc_options.halve = !args.has("no-halve");
     bc_options.threads = static_cast<unsigned>(args.get_int_or("threads", 1));
-    if (const auto engine = args.get("engine")) {
-      bc_options.engine = parse_engine(*engine);
-    }
     if (backend == BackendId::kSampled) {
       bc_options.approx_samples =
           static_cast<std::uint32_t>(args.get_int_or("samples", 0));
@@ -485,9 +469,6 @@ int run(int argc, char** argv) {
     bc_options.stall_window =
         static_cast<std::uint64_t>(args.get_int_or("stall-window", 0));
     bc_options.threads = static_cast<unsigned>(args.get_int_or("threads", 1));
-    if (const auto engine = args.get("engine")) {
-      bc_options.engine = parse_engine(*engine);
-    }
     bc_options.checkpoint_every =
         static_cast<std::uint64_t>(args.get_int_or("checkpoint-every", 0));
     bc_options.checkpoint_dir = args.get("checkpoint-dir").value_or("");
@@ -570,9 +551,6 @@ int run(int argc, char** argv) {
   options.distributed.halve = !args.has("no-halve");
   options.distributed.threads =
       static_cast<unsigned>(args.get_int_or("threads", 1));
-  if (const auto engine = args.get("engine")) {
-    options.distributed.engine = parse_engine(*engine);
-  }
   MessageTrace trace;
   if (args.has("trace")) {
     options.distributed.trace = &trace;

@@ -9,7 +9,7 @@
 //                      disposition, job id, and fingerprint
 //       --path NAME    submit by server-side path (daemon --graph-root)
 //       --no-halve --faults SPEC --reliable --max-rounds R --threads T
-//       --legacy       result-shaping / execution options
+//                      result-shaping / execution options
 //       --wait         poll until the result is ready and print it
 //       --retry        self-healing submit: retry with backoff + jitter
 //                      through transport faults until the result lands
@@ -102,7 +102,7 @@ constexpr const char* kUsage =
     "usage: congestbc_client [--host A --port P] COMMAND ...\n"
     "commands: submit GRAPH.txt [--path NAME --ns NS --version V\n"
     "          --incremental --no-halve --faults SPEC --reliable\n"
-    "          --max-rounds R --threads T --legacy --wait --retry\n"
+    "          --max-rounds R --threads T --wait --retry\n"
     "          --deadline MS --backend B --samples K --sample-seed S]\n"
     "          mutate NS [--base GRAPH.txt --version V --ops i:u:v,d:u:v]\n"
     "          status JOB | result JOB | cancel JOB | stats | shutdown\n"
@@ -168,7 +168,6 @@ SubmitRequest build_submit(const Args& args, const std::string& operand) {
   request.max_rounds =
       static_cast<std::uint64_t>(args.get_int_or("max-rounds", 0));
   request.threads = static_cast<std::uint32_t>(args.get_int_or("threads", 0));
-  request.legacy_engine = args.has("legacy");
   if (const auto backend_name = args.get("backend")) {
     // Parse client-side so a typo fails here, not as a kBadRequest round
     // trip.
@@ -556,8 +555,8 @@ int run_loadgen(const Args& args) {
               << hex16(created.fingerprint) << "\n";
   }
 
-  // Mixed traffic: rotate graphs, vary execution hints (threads / engine)
-  // so identical result-keys flow in through different execution knobs —
+  // Mixed traffic: rotate graphs, vary the execution hint (threads) so
+  // identical result-keys flow in through different execution knobs —
   // exactly what coalescing and the cache must unify.
   std::atomic<int> next{0};
   std::atomic<int> ok{0};
@@ -608,7 +607,6 @@ int run_loadgen(const Args& args) {
     }
     request.halve = true;
     request.threads = (i % 3 == 0) ? 2 : 1;
-    request.legacy_engine = (i % 5 == 0);
     request.deadline_ms = deadline_ms;
     if (!backend_mix.empty()) {
       request.backend = backend_for(i);
