@@ -9,8 +9,9 @@
 //   * `bench_simulator --engine-report [flags]`: machine-readable engine
 //     comparison.  Runs the pipeline under the legacy reference engine
 //     and the frontier engine at several thread counts, and
-//     writes BENCH_simulator.json with rounds/sec, logical-messages/sec
-//     and heap-allocation counts per run.  Flags:
+//     writes BENCH_simulator.json with rounds/sec, logical-messages/sec,
+//     heap-allocation counts and the largest per-node state per run.
+//     Flags:
 //       --baseline        legacy engine at threads=1 only (the
 //                         reproducible before-picture; diff two reports
 //                         with scripts/bench_compare.py)
@@ -22,11 +23,11 @@
 //       --threads L       override the thread list, e.g. --threads 1,4
 //       --snap FILE       ingest a SNAP-style edge list (headerless
 //                         "u v" lines, '#' comments) and bench it too
-//       --huge            time *generation* of the 10^6-node BA/ER
-//                         graphs (the full BC pipeline stores O(N log N)
-//                         bits per node, so a simulated 1M-node run
-//                         needs ~TBs of node state; the generators and
-//                         ingestion are the 1M-ready layer)
+//       --huge            the 10^6-node tier: time generation of the
+//                         BA/ER graphs, then simulate an 8-source
+//                         sampled solve of ba_1m on one lane (a sampled
+//                         node keeps O(deg + k) state; only exact BC,
+//                         with its N rows per node, needs terabytes)
 //       --out FILE        report path (default BENCH_simulator.json)
 //       --repetitions N   repetitions per small-graph row (default 3;
 //                         scale-tier rows always run once)
@@ -50,6 +51,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "algo/bc_pipeline.hpp"
 #include "algo/bfs_tree.hpp"
@@ -191,6 +194,7 @@ struct ReportRow {
   std::uint64_t logical_messages = 0;
   double messages_per_sec = 0;
   std::uint64_t heap_allocations = 0;  ///< mean operator-new calls per run
+  std::uint64_t node_state_bytes = 0;  ///< max_node_state_bytes of the run
 };
 
 /// One benchmark graph plus how the report should run it.
@@ -239,6 +243,7 @@ ReportRow measure(const BenchGraph& bg, bool legacy, unsigned threads,
         g_heap_allocations.load(std::memory_order_relaxed) - allocs_before;
     row.rounds = result.rounds;
     row.logical_messages = result.metrics.total_logical_messages;
+    row.node_state_bytes = result.max_node_state_bytes;
   }
   row.seconds = total_seconds / repetitions;
   row.heap_allocations = total_allocs / static_cast<std::uint64_t>(repetitions);
@@ -262,13 +267,14 @@ void write_json(const std::vector<ReportRow>& rows, const std::string& path,
       << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ReportRow& r = rows[i];
-    char buffer[640];
+    char buffer[704];
     std::snprintf(buffer, sizeof buffer,
                   "    {\"graph\": \"%s\", \"nodes\": %u, \"engine\": \"%s\", "
                   "\"threads\": %u, \"hardware_threads\": %u, "
                   "\"samples\": %llu, \"seconds\": %.6f, \"rounds\": %llu, "
                   "\"rounds_per_sec\": %.1f, \"logical_messages\": %llu, "
-                  "\"messages_per_sec\": %.1f, \"heap_allocations\": %llu}%s\n",
+                  "\"messages_per_sec\": %.1f, \"heap_allocations\": %llu, "
+                  "\"node_state_bytes\": %llu}%s\n",
                   r.graph.c_str(), r.nodes, r.engine.c_str(), r.threads,
                   r.hardware_threads,
                   static_cast<unsigned long long>(r.samples), r.seconds,
@@ -276,6 +282,7 @@ void write_json(const std::vector<ReportRow>& rows, const std::string& path,
                   static_cast<unsigned long long>(r.logical_messages),
                   r.messages_per_sec,
                   static_cast<unsigned long long>(r.heap_allocations),
+                  static_cast<unsigned long long>(r.node_state_bytes),
                   i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
@@ -346,22 +353,24 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-/// --huge: the 10^6-node tier.  The generators and the SNAP reader are
-/// the layers that must handle 1M nodes; the simulated pipeline itself
-/// stores Theta(N log N) bits *per node* (each node ends up knowing the
-/// whole distance table — that is the algorithm's output), so a full
-/// 1M-node BC simulation needs terabytes of node state and is reported
-/// here as generation/ingestion throughput instead.
+/// --huge: the 10^6-node tier.  Times the generators, then simulates a
+/// sampled solve of ba_1m: 8 sources drawn as for the ba_100k row, one
+/// lane.  A sampled node keeps O(deg + k) state (its k L_v rows and a
+/// k-entry rank index) and the run shares one O(N) source table, so this
+/// fits in a few GB.  Exact BC keeps N rows on every node — each node
+/// ends up knowing the whole distance table, the algorithm's output — so
+/// an exact 1M-node simulation would still need terabytes.
 void run_huge_tier() {
   const auto time_gen = [](const char* name, auto&& make) {
     const auto t0 = std::chrono::steady_clock::now();
-    const Graph g = make();
+    Graph g = make();
     const auto t1 = std::chrono::steady_clock::now();
     std::printf("huge tier: %-8s %u nodes %zu edges generated in %.2fs\n",
                 name, g.num_nodes(), g.num_edges(),
                 std::chrono::duration<double>(t1 - t0).count());
+    return g;
   };
-  time_gen("ba_1m", [] {
+  const Graph ba = time_gen("ba_1m", [] {
     Rng rng(7);
     return gen::barabasi_albert(1'000'000, 2, rng);
   });
@@ -369,6 +378,23 @@ void run_huge_tier() {
     Rng rng(13);
     return gen::erdos_renyi_sparse(1'000'000, 4.0, rng);
   });
+
+  DistributedBcOptions options;
+  options.threads = 1;
+  options.sources = sampled_sources(ba.num_nodes(), 8, 11);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto result = run_distributed_bc(ba, options);
+  const auto t1 = std::chrono::steady_clock::now();
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf(
+      "huge tier: ba_1m    8 sampled sources, 1 lane: %.1fs, %llu rounds, "
+      "%llu logical msgs, %llu B max node state, %.2f GB peak RSS\n",
+      std::chrono::duration<double>(t1 - t0).count(),
+      static_cast<unsigned long long>(result.rounds),
+      static_cast<unsigned long long>(result.metrics.total_logical_messages),
+      static_cast<unsigned long long>(result.max_node_state_bytes),
+      static_cast<double>(usage.ru_maxrss) * 1024.0 / 1e9);
 }
 
 int run_engine_report(bool baseline, const std::string& out_path,
@@ -441,10 +467,11 @@ int run_engine_report(bool baseline, const std::string& out_path,
       const ReportRow row = measure(bg, c.legacy, c.threads, repetitions);
       std::printf(
           "%-12s %-8s threads=%u  %10.1f rounds/s  %12.0f msgs/s  %8llu "
-          "allocs  (%.3fs/run)\n",
+          "allocs  %8llu B/node  (%.3fs/run)\n",
           row.graph.c_str(), row.engine.c_str(), row.threads,
           row.rounds_per_sec, row.messages_per_sec,
-          static_cast<unsigned long long>(row.heap_allocations), row.seconds);
+          static_cast<unsigned long long>(row.heap_allocations),
+          static_cast<unsigned long long>(row.node_state_bytes), row.seconds);
       rows.push_back(row);
     }
   }

@@ -7,16 +7,18 @@ Usage:
 Rows are matched on (graph, engine, threads).  For every pair present in
 both files the candidate must keep rounds/sec and logical-messages/sec
 within `tolerance` (default 10%) of the baseline, and must not grow the
-per-run heap-allocation count by more than the same factor.  Rows present
-in only one file are reported but never fatal, so a baseline produced
-with `bench_simulator --baseline` (legacy engine only) can be compared
-against a full report.
+per-run heap-allocation count or the largest per-node state
+(`node_state_bytes`) by more than the same factor.  A row from before
+the `node_state_bytes` column has its state comparison skipped.  Rows
+present in only one file are reported but never fatal, so a baseline
+produced with `bench_simulator --baseline` (legacy engine only) can be
+compared against a full report.
 
 Oversubscribed rows — threads greater than the hardware_threads the row
 (or, for old reports, the file header) records — carry no timing signal:
 the lanes time-share cores, so wall-clock is scheduler noise.  Their
-throughput metrics are skipped; heap allocations are deterministic and
-are still compared.
+throughput metrics are skipped; heap allocations and node state are
+deterministic and are still compared.
 
 Exit status: 0 = no regression, 1 = regression, 2 = bad input.
 """
@@ -82,10 +84,12 @@ def main() -> int:
                     regressions.append(
                         f"{label}: {metric} {b[metric]:.1f} -> {c[metric]:.1f} "
                         f"({c[metric] / b[metric] - 1.0:+.1%})")
-        if c["heap_allocations"] > b["heap_allocations"] * (1.0 + tol):
-            regressions.append(
-                f"{label}: heap_allocations {b['heap_allocations']} -> "
-                f"{c['heap_allocations']}")
+        for metric in ("heap_allocations", "node_state_bytes"):
+            if metric not in b or metric not in c:
+                continue
+            if c[metric] > b[metric] * (1.0 + tol):
+                regressions.append(
+                    f"{label}: {metric} {b[metric]} -> {c[metric]}")
     for key in sorted(set(cand) - set(base)):
         print(f"  (only in candidate: {key})")
 
@@ -98,7 +102,7 @@ def main() -> int:
             print(f"  {r}")
         return 1
     note = (f" ({skipped_timing} oversubscribed row(s): timing skipped, "
-            f"allocations checked)" if skipped_timing else "")
+            f"allocations and node state checked)" if skipped_timing else "")
     print(f"OK: {compared} row(s) compared, none regressed past "
           f"{tol:.0%}{note}")
     return 0

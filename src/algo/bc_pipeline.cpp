@@ -27,8 +27,10 @@ BcRun::BcRun(const Graph& g, const DistributedBcOptions& options)
   config_.sequential_counting = options_.sequential_counting;
   config_.check_invariants = options_.check_invariants;
   config_.halve = options_.halve;
-  config_.is_source = options_.sources.value_or(std::vector<bool>(n, true));
-  CBC_EXPECTS(config_.is_source.size() == n, "sources mask must have size N");
+  config_.sources =
+      SourceRanks(options_.sources.value_or(std::vector<bool>(n, true)));
+  CBC_EXPECTS(config_.sources.num_nodes() == n,
+              "sources mask must have size N");
   config_.counts_as_target = options_.targets.value_or(std::vector<bool>{});
   config_.scale_by_sources = options_.scale_by_sources;
   config_.counting_only = options_.counting_only;

@@ -2,12 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace congestbc {
+
+namespace {
+
+/// Per-round scratch, one per thread (simulator lane).  A node's on_round
+/// runs to completion on one thread and never runs another node's program
+/// (ReliableProgram calls its single inner program), so one lane's nodes
+/// can share these buffers.  They keep their capacity, so a warmed-up
+/// lane runs rounds without touching the heap.
+struct RoundScratch {
+  std::vector<ParsedMsg> msgs;        ///< this round's decoded inbox
+  std::vector<NodeId> wave_senders;   ///< wavefront-separation check
+  std::vector<std::size_t> fresh;     ///< rows finalized this round
+  BitWriter out;                      ///< every outgoing record
+};
+
+RoundScratch& lane_scratch() {
+  thread_local RoundScratch scratch;
+  return scratch;
+}
+
+/// Encodes `msg` into the lane's writer, cleared first.  Safe to reuse
+/// because every NodeContext copies the payload inside send().
+template <typename Msg>
+const BitWriter& encoded(const WireFormat& fmt, const Msg& msg) {
+  BitWriter& out = lane_scratch().out;
+  out.clear();
+  encode(out, fmt, msg);
+  return out;
+}
+
+}  // namespace
+
+SourceRanks::SourceRanks(const std::vector<bool>& mask)
+    : rank_(mask.size(), kNotSource) {
+  for (std::size_t v = 0; v < mask.size(); ++v) {
+    if (mask[v]) {
+      rank_[v] = count_++;
+    }
+  }
+}
 
 long double to_long_double(const SoftFloat& value) {
   if (value.is_zero()) {
@@ -20,23 +59,18 @@ long double to_long_double(const SoftFloat& value) {
 BcProgram::BcProgram(NodeId id, const BcProgramConfig& config)
     : id_(id),
       config_(&config),
-      tree_(id, config.root, config.wire) {
-  CBC_EXPECTS(!config.is_source.empty(), "is_source must be sized to N");
-  entry_index_.assign(config.is_source.size(), -1);
-  expected_sources_ = 0;
-  for (const bool selected : config.is_source) {
-    if (selected) {
-      ++expected_sources_;
-    }
-  }
-  CBC_EXPECTS(expected_sources_ >= 1, "at least one source is required");
+      tree_(id, config.root, config.wire),
+      entry_index_(config.sources.count(), -1) {
+  CBC_EXPECTS(config.sources.count() >= 1, "at least one source is required");
+  CBC_EXPECTS(id < config.sources.num_nodes(), "sources must be sized to N");
   CBC_EXPECTS(config.counts_as_target.empty() ||
-                  config.counts_as_target.size() == config.is_source.size(),
+                  config.counts_as_target.size() ==
+                      config.sources.num_nodes(),
               "counts_as_target must be empty or sized to N");
-  i_am_source_ = config.is_source[id];
+  i_am_source_ = config.sources.contains(id);
   i_am_target_ =
       config.counts_as_target.empty() || config.counts_as_target[id];
-  entries_.reserve(expected_sources_);
+  entries_.reserve(config.sources.count());
 }
 
 std::size_t BcProgram::state_bytes() const {
@@ -50,7 +84,11 @@ std::size_t BcProgram::state_bytes() const {
 }
 
 SourceEntry* BcProgram::find_entry(NodeId source) {
-  const std::int32_t idx = entry_index_[source];
+  const std::uint32_t rank = config_->sources.rank(source);
+  if (rank == SourceRanks::kNotSource) {
+    return nullptr;
+  }
+  const std::int32_t idx = entry_index_[rank];
   return idx < 0 ? nullptr : &entries_[static_cast<std::size_t>(idx)];
 }
 
@@ -69,7 +107,8 @@ void BcProgram::on_round(NodeContext& ctx) {
   if (finished_) {
     return;
   }
-  const auto msgs = parse_inbox(ctx, config_->wire);
+  std::vector<ParsedMsg>& msgs = lane_scratch().msgs;
+  parse_inbox(ctx, config_->wire, msgs);
   tree_.on_round(ctx, msgs);
   handle_wave_msgs(ctx, msgs);
   handle_dfs(ctx, msgs);
@@ -107,49 +146,61 @@ std::uint64_t BcProgram::next_active_round(std::uint64_t from) const {
 
 void BcProgram::handle_wave_msgs(NodeContext& ctx,
                                  const std::vector<ParsedMsg>& msgs) {
-  std::vector<std::size_t> fresh;
-  std::unordered_map<NodeId, unsigned> waves_per_sender;
+  RoundScratch& scratch = lane_scratch();
+  if (config_->check_invariants) {
+    // Holzer–Wattenhofer wavefront separation: at most one BFS wave
+    // crosses an edge per round, so no sender repeats.  Checked before
+    // any state changes.
+    std::vector<NodeId>& senders = scratch.wave_senders;
+    senders.clear();
+    for (const auto& msg : msgs) {
+      if (std::holds_alternative<WaveMsg>(msg.body)) {
+        senders.push_back(msg.from);
+      }
+    }
+    std::sort(senders.begin(), senders.end());
+    CBC_CHECK(std::adjacent_find(senders.begin(), senders.end()) ==
+                  senders.end(),
+              "two BFS wavefronts crossed one edge in the same round");
+  }
+  std::vector<std::size_t>& fresh = scratch.fresh;
+  fresh.clear();
   for (const auto& msg : msgs) {
     const auto* wave = std::get_if<WaveMsg>(&msg.body);
     if (wave == nullptr) {
       continue;
     }
-    if (config_->check_invariants) {
-      // Holzer–Wattenhofer wavefront separation: at most one BFS wave
-      // crosses an edge per round.
-      const unsigned count = ++waves_per_sender[msg.from];
-      CBC_CHECK(count <= 1,
-                "two BFS wavefronts crossed one edge in the same round");
-    }
     const std::uint32_t candidate = wave->dist + 1;
-    SourceEntry* entry = find_entry(wave->source);
-    if (entry == nullptr) {
+    const std::uint32_t rank = config_->sources.rank(wave->source);
+    CBC_CHECK(rank != SourceRanks::kNotSource,
+              "BFS wave from a node outside the source set");
+    std::int32_t& row = entry_index_[rank];
+    if (row < 0) {
       CBC_CHECK(ctx.round() >= candidate, "wave arrived before its source started");
-      SourceEntry created;
+      row = static_cast<std::int32_t>(entries_.size());
+      SourceEntry& created = entries_.emplace_back();
       created.source = wave->source;
       created.t_start = ctx.round() - candidate;
       created.dist = candidate;
-      entry_index_[wave->source] = static_cast<std::int32_t>(entries_.size());
-      entries_.push_back(std::move(created));
-      entry = &entries_.back();
       fresh.push_back(entries_.size() - 1);
       outputs_.eccentricity = std::max(outputs_.eccentricity, candidate);
       outputs_.sum_distances += candidate;
     }
+    SourceEntry& entry = entries_[static_cast<std::size_t>(row)];
     // Predecessor messages all arrive in the entry's finalization round
     // (t_start + dist); anything else is a same-level echo to ignore.
-    if (entry->dist == candidate &&
-        entry->t_start + entry->dist == ctx.round()) {
-      entry->sigma = add(entry->sigma, wave->sigma, config_->wire.sf,
-                         config_->sigma_rounding);
-      entry->preds.push_back(msg.from);
+    if (entry.dist == candidate &&
+        entry.t_start + entry.dist == ctx.round()) {
+      entry.sigma = add(entry.sigma, wave->sigma, config_->wire.sf,
+                        config_->sigma_rounding);
+      entry.preds.push_back(msg.from);
     }
   }
   for (const std::size_t idx : fresh) {
-    SourceEntry& entry = entries_[idx];
+    const SourceEntry& entry = entries_[idx];
     CBC_CHECK(!entry.sigma.is_zero(), "finalized a source with sigma == 0");
-    BitWriter out;
-    encode(out, config_->wire, WaveMsg{entry.source, entry.dist, entry.sigma});
+    const BitWriter& out = encoded(
+        config_->wire, WaveMsg{entry.source, entry.dist, entry.sigma});
     for (const NodeId nbr : ctx.neighbors()) {
       ctx.send(nbr, out);
     }
@@ -214,11 +265,11 @@ void BcProgram::start_own_bfs(NodeContext& ctx) {
   self.dist = 0;
   self.sigma =
       SoftFloat::from_u64(1, config_->wire.sf, config_->sigma_rounding);
-  entry_index_[id_] = static_cast<std::int32_t>(entries_.size());
+  entry_index_[config_->sources.rank(id_)] =
+      static_cast<std::int32_t>(entries_.size());
   entries_.push_back(std::move(self));
-  BitWriter out;
-  encode(out, config_->wire,
-         WaveMsg{id_, 0, entries_.back().sigma});
+  const BitWriter& out =
+      encoded(config_->wire, WaveMsg{id_, 0, entries_.back().sigma});
   for (const NodeId nbr : ctx.neighbors()) {
     ctx.send(nbr, out);
   }
@@ -226,8 +277,7 @@ void BcProgram::start_own_bfs(NodeContext& ctx) {
 
 void BcProgram::advance_token(NodeContext& ctx) {
   CBC_CHECK(tree_.children_final(), "token moved before the tree was built");
-  BitWriter out;
-  encode(out, config_->wire, DfsTokenMsg{depth_estimate_});
+  const BitWriter& out = encoded(config_->wire, DfsTokenMsg{depth_estimate_});
   if (next_child_ < tree_.children().size()) {
     const NodeId child = tree_.children()[next_child_];
     ++next_child_;
@@ -253,7 +303,7 @@ void BcProgram::handle_phase_switch(NodeContext& ctx,
   }
 
   if (!ecc_sent_ && tree_.children_final() &&
-      entries_.size() == expected_sources_ &&
+      entries_.size() == config_->sources.count() &&
       ecc_reports_ == tree_.children().size()) {
     ecc_sent_ = true;
     const std::uint32_t subtree_ecc =
@@ -267,9 +317,7 @@ void BcProgram::handle_phase_switch(NodeContext& ctx,
                                 subtree_ecc,
                                 ctx.round() + tree_.subtree_depth() + 2});
     } else {
-      BitWriter out;
-      encode(out, config_->wire, EccUpMsg{subtree_ecc});
-      ctx.send(tree_.parent(), out);
+      ctx.send(tree_.parent(), encoded(config_->wire, EccUpMsg{subtree_ecc}));
     }
   }
 }
@@ -285,8 +333,7 @@ void BcProgram::apply_phase_down(NodeContext& ctx, const PhaseDownMsg& down) {
   outputs_.diameter = diameter_;
 
   // Forward down the tree.
-  BitWriter out;
-  encode(out, config_->wire, down);
+  const BitWriter& out = encoded(config_->wire, down);
   for (const NodeId child : tree_.children()) {
     ctx.send(child, out);
   }
@@ -370,8 +417,8 @@ void BcProgram::handle_aggregation(NodeContext& ctx,
               lambda_out, config_->wire.sf, config_->psi_rounding);
     }
     entry.agg_send_round = ctx.round();
-    BitWriter out;
-    encode(out, config_->wire, AggMsg{entry.source, psi_out, lambda_out});
+    const BitWriter& out =
+        encoded(config_->wire, AggMsg{entry.source, psi_out, lambda_out});
     for (const NodeId pred : entry.preds) {
       ctx.send(pred, out);
     }
@@ -407,7 +454,7 @@ void BcProgram::finalize(NodeContext& ctx) {
   const double source_scale =
       config_->scale_by_sources
           ? static_cast<double>(ctx.num_nodes()) /
-                static_cast<double>(expected_sources_)
+                static_cast<double>(config_->sources.count())
           : 1.0;
   const double scale = source_scale / (config_->halve ? 2.0 : 1.0);
   outputs_.betweenness = bc * scale;
@@ -504,13 +551,17 @@ void BcProgram::load_state(BitReader& r) {
   const std::uint64_t num_entries = snap::get_count(r, 35);
   entries_.clear();
   entries_.reserve(num_entries);
-  entry_index_.assign(config_->is_source.size(), -1);
+  entry_index_.assign(config_->sources.count(), -1);
   for (std::uint64_t i = 0; i < num_entries; ++i) {
     SourceEntry entry;
-    entry.source = static_cast<NodeId>(snap::get_u64(r));
-    CBC_CHECK(entry.source < entry_index_.size(),
+    const std::uint64_t source = snap::get_u64(r);
+    CBC_CHECK(source < config_->sources.num_nodes(),
               "snapshot entry references an out-of-range source");
-    CBC_CHECK(entry_index_[entry.source] < 0,
+    entry.source = static_cast<NodeId>(source);
+    const std::uint32_t rank = config_->sources.rank(entry.source);
+    CBC_CHECK(rank != SourceRanks::kNotSource,
+              "snapshot entry for a node outside this run's source set");
+    CBC_CHECK(entry_index_[rank] < 0,
               "snapshot holds two entries for one source");
     entry.t_start = snap::get_u64(r);
     entry.dist = static_cast<std::uint32_t>(snap::get_u64(r));
@@ -523,7 +574,7 @@ void BcProgram::load_state(BitReader& r) {
     entry.psi = get_soft_float(r);
     entry.lambda = get_soft_float(r);
     entry.agg_send_round = snap::get_u64(r);
-    entry_index_[entry.source] = static_cast<std::int32_t>(i);
+    entry_index_[rank] = static_cast<std::int32_t>(i);
     entries_.push_back(std::move(entry));
   }
   dfs_visited_ = snap::get_bool(r);

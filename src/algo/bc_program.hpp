@@ -40,6 +40,36 @@
 
 namespace congestbc {
 
+/// The run's source set in the form every node reads it, built once from
+/// the mask: each node's rank among the sources in id order (kNotSource
+/// for the others) and the source count, so the count always agrees with
+/// the ranks.  It is one O(N) table per run, shared by every node's
+/// program; each node then indexes its L_v rows by rank with a k-entry
+/// array instead of an N-entry one.
+class SourceRanks {
+ public:
+  static constexpr std::uint32_t kNotSource = ~std::uint32_t{0};
+
+  SourceRanks() = default;
+  /// mask[v] marks node v as a source.
+  explicit SourceRanks(const std::vector<bool>& mask);
+
+  std::uint32_t num_nodes() const {
+    return static_cast<std::uint32_t>(rank_.size());
+  }
+  /// k, the number of sources.
+  std::uint32_t count() const { return count_; }
+  /// v's rank among the sources, or kNotSource (also for v >= N).
+  std::uint32_t rank(NodeId v) const {
+    return v < rank_.size() ? rank_[v] : kNotSource;
+  }
+  bool contains(NodeId v) const { return rank(v) != kNotSource; }
+
+ private:
+  std::vector<std::uint32_t> rank_;
+  std::uint32_t count_ = 0;
+};
+
 /// Shared configuration (identical on every node — common knowledge).
 struct BcProgramConfig {
   WireFormat wire;
@@ -55,8 +85,9 @@ struct BcProgramConfig {
   /// the naive Theta(N*D) schedule the paper improves upon.
   bool sequential_counting = false;
   /// Which nodes start a BFS (all = exact algorithm; a subset = the
-  /// sampled estimator).  Common knowledge via a shared seed.
-  std::vector<bool> is_source;
+  /// sampled estimator).  Common knowledge via a shared seed, so the run
+  /// builds this table once and every node reads it.
+  SourceRanks sources;
   /// Which nodes count as shortest-path *endpoints* t in the dependency
   /// sums (Eq. 8).  A node with the flag cleared still relays psi/lambda
   /// but contributes no 1/sigma (resp. +1) term of its own — the
@@ -127,8 +158,9 @@ class BcProgram final : public NodeProgram, public Snapshottable {
 
   /// Checkpoint support: serializes the evolving state of all five
   /// sub-phases (the L_v table, DFS/phase-switch/aggregation cursors,
-  /// outputs).  Config-derived fields (entry_index_, expected_sources_,
-  /// source/target flags) are rebuilt, not stored.
+  /// outputs).  Config-derived fields (entry_index_, the source/target
+  /// flags) are rebuilt, not stored; load_state rejects a row whose
+  /// source is out of range, outside this run's source set, or repeated.
   void save_state(BitWriter& w) const override;
   void load_state(BitReader& r) override;
 
@@ -139,9 +171,10 @@ class BcProgram final : public NodeProgram, public Snapshottable {
   /// T_v — the round this node's own BFS wave was sent (source nodes only).
   std::uint64_t bfs_start_round() const { return my_bfs_round_; }
 
-  /// Approximate resident state of this node (bytes): the L_v table plus
-  /// the aggregation schedule.  CONGEST leaves local memory unrestricted;
-  /// this documents the O(N log N)-bits-per-node footprint empirically.
+  /// Approximate resident state of this node (bytes): the L_v table, its
+  /// k-entry rank index and the aggregation schedule — O(k log N) bits
+  /// for k sources, O(N log N) for exact runs.  The shared SourceRanks
+  /// table belongs to the run, not to a node, and is not counted.
   std::size_t state_bytes() const;
 
  private:
@@ -164,8 +197,9 @@ class BcProgram final : public NodeProgram, public Snapshottable {
 
   // --- counting state ---
   std::vector<SourceEntry> entries_;
-  std::vector<std::int32_t> entry_index_;  ///< source id -> index or -1
-  std::uint32_t expected_sources_ = 0;
+  /// Source rank (config sources.rank) -> row of entries_, or -1: k
+  /// entries, sized once at construction.
+  std::vector<std::int32_t> entry_index_;
   bool i_am_source_ = true;
   bool i_am_target_ = true;
 

@@ -7,9 +7,9 @@
 
 namespace congestbc {
 
-std::vector<ParsedMsg> parse_inbox(const NodeContext& ctx,
-                                   const WireFormat& fmt) {
-  std::vector<ParsedMsg> result;
+void parse_inbox(const NodeContext& ctx, const WireFormat& fmt,
+                 std::vector<ParsedMsg>& out) {
+  out.clear();
   for (const auto& inbound : ctx.inbox()) {
     BitReader reader = inbound.reader();
     while (reader.remaining() > 0) {
@@ -50,10 +50,9 @@ std::vector<ParsedMsg> parse_inbox(const NodeContext& ctx,
           msg.body = decode_result(reader, fmt);
           break;
       }
-      result.push_back(std::move(msg));
+      out.push_back(std::move(msg));
     }
   }
-  return result;
 }
 
 void TreeBuilder::on_round(NodeContext& ctx, const std::vector<ParsedMsg>& msgs) {
@@ -197,7 +196,8 @@ void TreeBuilder::load_state(BitReader& r) {
 }
 
 void BfsTreeProgram::on_round(NodeContext& ctx) {
-  const auto msgs = parse_inbox(ctx, fmt_);
+  std::vector<ParsedMsg> msgs;
+  parse_inbox(ctx, fmt_, msgs);
   builder_.on_round(ctx, msgs);
 }
 

@@ -12,7 +12,8 @@ void GatherBcProgram::on_round(NodeContext& ctx) {
   if (finished_) {
     return;
   }
-  const auto msgs = parse_inbox(ctx, config_->wire);
+  std::vector<ParsedMsg> msgs;
+  parse_inbox(ctx, config_->wire, msgs);
   tree_.on_round(ctx, msgs);
 
   const bool is_root = tree_.is_root();

@@ -20,8 +20,10 @@ struct ParsedMsg {
       body;
 };
 
-/// Decodes every logical record in the round's inbox, in arrival order.
-std::vector<ParsedMsg> parse_inbox(const NodeContext& ctx,
-                                   const WireFormat& fmt);
+/// Decodes every logical record in the round's inbox, in arrival order,
+/// into `out`.  `out` is cleared first and keeps its capacity, so a caller
+/// that reuses one vector parses without allocating.
+void parse_inbox(const NodeContext& ctx, const WireFormat& fmt,
+                 std::vector<ParsedMsg>& out);
 
 }  // namespace congestbc

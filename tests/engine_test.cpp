@@ -316,7 +316,7 @@ TEST(EngineAllocation, ArenaBlockCountIsDeterministicAndSmall) {
   BcProgramConfig config;
   config.wire = WireFormat::for_graph(g.num_nodes(),
                                       SoftFloatFormat::for_graph(g.num_nodes()));
-  config.is_source.assign(g.num_nodes(), true);
+  config.sources = SourceRanks(std::vector<bool>(g.num_nodes(), true));
   const auto factory = [&](NodeId v) {
     return std::make_unique<BcProgram>(v, config);
   };

@@ -4,10 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "algo/bc_program.hpp"
+#include "algo/wire.hpp"
 #include "central/brandes.hpp"
 #include "central/centralities.hpp"
 #include "common/assert.hpp"
+#include "common/rng.hpp"
+#include "congest/node.hpp"
 #include "core/validation.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
@@ -16,6 +23,33 @@ namespace congestbc {
 namespace {
 
 constexpr double kTolerance = 1e-6;  // default format: >= 20 mantissa bits
+
+/// One node's round window with a scripted inbox; sends are dropped.
+class ScriptedContext final : public NodeContext {
+ public:
+  ScriptedContext(NodeId id, std::uint32_t num_nodes,
+                  std::vector<NodeId> neighbors, std::uint64_t round,
+                  std::vector<InboundMessage> inbox)
+      : id_(id),
+        num_nodes_(num_nodes),
+        neighbors_(std::move(neighbors)),
+        round_(round),
+        inbox_(std::move(inbox)) {}
+
+  NodeId id() const override { return id_; }
+  std::uint32_t num_nodes() const override { return num_nodes_; }
+  std::span<const NodeId> neighbors() const override { return neighbors_; }
+  std::uint64_t round() const override { return round_; }
+  const std::vector<InboundMessage>& inbox() const override { return inbox_; }
+  void send(NodeId, const BitWriter&) override {}
+
+ private:
+  NodeId id_;
+  std::uint32_t num_nodes_;
+  std::vector<NodeId> neighbors_;
+  std::uint64_t round_;
+  std::vector<InboundMessage> inbox_;
+};
 
 TEST(Pipeline, SingleNode) {
   const auto result = run_distributed_bc(Graph(1, {}));
@@ -226,6 +260,47 @@ TEST(Pipeline, WavefrontSeparationHolds) {
   EXPECT_NO_THROW(run_distributed_bc(g, options));
 }
 
+TEST(Pipeline, WavefrontSeparationViolationThrows) {
+  // Node 2 of a 4-node all-sources run receives two wave records from
+  // neighbor 1 in one round: two wavefronts crossed one edge.  The same
+  // records from two different senders are legal.
+  constexpr NodeId kNodes = 4;
+  BcProgramConfig config;
+  config.wire =
+      WireFormat::for_graph(kNodes, SoftFloatFormat::for_graph(kNodes));
+  config.sources = SourceRanks(std::vector<bool>(kNodes, true));
+  const SoftFloat one =
+      SoftFloat::from_u64(1, config.wire.sf, RoundingMode::kUp);
+  const auto wave_from = [&](NodeId sender, NodeId source) {
+    BitWriter w;
+    encode(w, config.wire, WaveMsg{source, 0, one});
+    return InboundMessage(sender, w.bytes(), w.bit_size());
+  };
+
+  std::vector<InboundMessage> clash;
+  clash.push_back(wave_from(1, 1));
+  clash.push_back(wave_from(1, 3));
+  BcProgram clashing(2, config);
+  ScriptedContext clash_ctx(2, kNodes, {1, 3}, 5, std::move(clash));
+  try {
+    clashing.on_round(clash_ctx);
+    ADD_FAILURE() << "two waves from one sender in one round were accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "two BFS wavefronts crossed one edge in the same round"),
+              std::string::npos)
+        << e.what();
+  }
+
+  std::vector<InboundMessage> apart;
+  apart.push_back(wave_from(1, 1));
+  apart.push_back(wave_from(3, 3));
+  BcProgram separated(2, config);
+  ScriptedContext apart_ctx(2, kNodes, {1, 3}, 5, std::move(apart));
+  EXPECT_NO_THROW(separated.on_round(apart_ctx));
+  EXPECT_EQ(separated.table().size(), 2u);
+}
+
 TEST(Pipeline, DfsExtraPauseStillCorrect) {
   DistributedBcOptions options;
   options.dfs_extra_pause = 3;
@@ -287,6 +362,23 @@ TEST(Pipeline, NodeStateGrowsWithN) {
   const auto large = run_distributed_bc(gen::path(64));
   EXPECT_GT(large.max_node_state_bytes, small.max_node_state_bytes);
   EXPECT_GT(small.max_node_state_bytes, 0u);
+}
+
+TEST(Pipeline, SampledNodeStateIndependentOfN) {
+  // A k-source run keeps O(deg + k) state per node: the rank index has k
+  // entries, not N, so a node stays far below 4 bytes per graph node.
+  Rng rng(5);
+  const Graph g = gen::barabasi_albert(4000, 2, rng);
+  const NodeId n = g.num_nodes();
+  std::vector<bool> sources(n, false);
+  for (const std::uint64_t s : rng.sample_without_replacement(n, 16)) {
+    sources[static_cast<std::size_t>(s)] = true;
+  }
+  DistributedBcOptions options;
+  options.sources = sources;
+  const auto result = run_distributed_bc(g, options);
+  EXPECT_GT(result.max_node_state_bytes, 0u);
+  EXPECT_LT(result.max_node_state_bytes, 4u * n);
 }
 
 TEST(Pipeline, TinyBudgetFaults) {

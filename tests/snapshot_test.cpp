@@ -442,6 +442,34 @@ TEST(SnapshotResume, RejectsForeignSnapshot) {
   }
 }
 
+TEST(SnapshotResume, RejectsRowsOfAnotherSourceSet) {
+  // The source set is common knowledge, so an L_v row for a node outside
+  // it can only come from another run's snapshot: resume must refuse it.
+  const Graph g = load_data("karate.txt");
+  TempDir dir("sourceset");
+  const std::string file = (dir.path() / "exact.cbcsnap").string();
+  MessageTrace trace;
+  const DistributedBcResult halted =
+      run_halted(g, Variant{"seq", false, 1, false}, 150, file, trace);
+  std::vector<bool> mask(g.num_nodes(), false);
+  for (const NodeId s : {0u, 1u, 2u, 3u}) {
+    mask[s] = true;
+  }
+  // Counting has begun: a node outside the mask has sent its own wave,
+  // so the snapshot holds rows for a non-source.
+  bool outsider_started = false;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    outsider_started |= !mask[v] && halted.bfs_start_rounds[v] != 0;
+  }
+  ASSERT_TRUE(outsider_started);
+
+  DistributedBcOptions options;
+  options.sources = mask;
+  options.resume_from = file;
+  options.max_rounds = 2000;  // the uninterrupted exact run needs 294
+  EXPECT_THROW(run_distributed_bc(g, options), SnapshotError);
+}
+
 /// Structural fuzz past the container hash: re-hash a mutated payload so
 /// it reaches the section parsers, which must reject or accept cleanly —
 /// never crash (the ASan/TSan jobs run this test too).
