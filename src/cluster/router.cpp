@@ -1,18 +1,9 @@
 #include "cluster/router.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 
+#include "obs/prom_text.hpp"
 #include "snapshot/fingerprint.hpp"
 
 namespace congestbc::cluster {
@@ -45,36 +36,6 @@ using service::SubmitReply;
 using service::SubmitRequest;
 
 namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(s.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) {
-    return false;
-  }
-  host = s.substr(0, colon);
-  port = static_cast<std::uint16_t>(value);
-  return true;
-}
 
 /// The routing key of a SUBMIT: a hash of its result-determining fields.
 /// Not the authoritative run fingerprint (only a worker can compute that
@@ -121,98 +82,26 @@ Router::Router(RouterConfig config)
     : config_(std::move(config)), ring_(config_.ring_vnodes) {}
 
 Router::~Router() {
+  // The serve thread calls this router's hooks: join it before any
+  // member goes away.
   request_drain();
   wait();
-  for (auto& session : sessions_) {
-    close_fd(session->fd);
-  }
-  sessions_.clear();
-  close_fd(listen_fd_);
-  close_fd(wake_pipe_[0]);
-  close_fd(wake_pipe_[1]);
 }
 
 void Router::start() {
-  if (started_) {
-    return;
-  }
-  if (::pipe(wake_pipe_) != 0) {
-    throw std::runtime_error("pipe() failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
-
+  listen_on(config_.host, config_.port);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const std::string& address : config_.workers) {
       JoinRequest seed;
       seed.worker_id = address;
-      if (!split_host_port(address, seed.host, seed.port)) {
+      if (!service::split_host_port(address, seed.host, seed.port)) {
         throw std::runtime_error("bad worker address: " + address);
       }
       (void)handle_join(seed);
     }
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("socket() failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("bad listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    throw std::runtime_error("bind() failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  // The router fronts the whole tier: a cluster loadgen opens a thousand
-  // client sockets in one burst, and a backlog shorter than that burst
-  // drops SYNs into retransmit purgatory on a busy box.
-  if (::listen(listen_fd_, 4096) != 0) {
-    throw std::runtime_error("listen() failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
   last_health_ = std::chrono::steady_clock::now();
-  started_ = true;
-}
-
-void Router::serve_async() {
-  serve_thread_ = std::thread([this] { serve(); });
-}
-
-void Router::wait() {
-  if (serve_thread_.joinable()) {
-    serve_thread_.join();
-  }
-}
-
-void Router::request_drain() {
-  drain_requested_.store(true, std::memory_order_relaxed);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-}
-
-void Router::notify_signal() {
-  drain_requested_.store(true, std::memory_order_relaxed);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
 }
 
 RouterStats Router::stats() const {
@@ -228,215 +117,52 @@ RouterStats Router::stats() const {
   return s;
 }
 
-// --------------------------------------------------------- poll loop
-
-void Router::serve() {
-  std::vector<pollfd> fds;
-  while (true) {
-    fds.clear();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    int listen_idx = -1;
-    if (!draining_ && listen_fd_ >= 0) {
-      listen_idx = static_cast<int>(fds.size());
-      fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    }
-    const std::size_t base = fds.size();
-    for (const auto& session : sessions_) {
-      short events = 0;
-      if (!session->close_after_flush &&
-          session->pending_out() <= config_.session_out_limit) {
-        events |= POLLIN;
-      }
-      if (session->out_pos < session->out.size()) {
-        events |= POLLOUT;
-      }
-      fds.push_back(pollfd{session->fd, events, 0});
-    }
-
-    const int rc = ::poll(fds.data(), fds.size(), 50);
-    if (rc < 0 && errno != EINTR) {
-      break;
-    }
-
-    if (fds[0].revents & POLLIN) {
-      std::uint8_t buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
-      }
-    }
-    if (drain_requested_.load(std::memory_order_relaxed) && !draining_) {
-      draining_ = true;
-      close_fd(listen_fd_);
-    }
-    if (!draining_ && listen_idx >= 0 &&
-        (fds[static_cast<std::size_t>(listen_idx)].revents & POLLIN)) {
-      accept_clients();
-    }
-    for (std::size_t i = 0; i < sessions_.size() && base + i < fds.size();
-         ++i) {
-      Session& session = *sessions_[i];
-      const short revents = fds[base + i].revents;
-      if (revents & (POLLIN | POLLERR | POLLHUP)) {
-        handle_session_input(session);
-      }
-      if (!session.dead && !session.close_after_flush) {
-        process_session_frames(session);
-      }
-      if (!session.dead && session.out_pos < session.out.size()) {
-        flush_session_output(session);
-      }
-    }
-    sessions_.erase(
-        std::remove_if(sessions_.begin(), sessions_.end(),
-                       [](const std::unique_ptr<Session>& s) {
-                         if (s->dead) {
-                           int fd = s->fd;
-                           close_fd(fd);
-                           return true;
-                         }
-                         return false;
-                       }),
-        sessions_.end());
-
-    health_check_tick();
-
-    if (draining_) {
-      break;
-    }
+std::optional<std::string> Router::http_get(const std::string& path) {
+  if (path != "/metrics") {
+    return std::nullopt;
   }
-  finish_drain();
+  const RouterStats s = stats();
+  const struct {
+    const char* field;
+    std::uint64_t value;
+    const char* help;
+  } counters[] = {
+      {"submits_routed", s.submits_routed, "SUBMITs a worker admitted"},
+      {"spillovers", s.spillovers,
+       "Admitted SUBMITs that passed over their home worker"},
+      {"cross_worker_hits", s.cross_worker_hits,
+       "Fresh executions replaced by another worker's cached block"},
+      {"migrations_forwarded", s.migrations_forwarded,
+       "Drain transplants a surviving worker accepted"},
+      {"migrations_failed", s.migrations_failed,
+       "Drain transplants no surviving worker accepted"},
+      {"joins", s.joins, "Workers that joined the ring"},
+      {"leaves", s.leaves, "Workers that left the ring"},
+      {"evictions", s.evictions,
+       "Workers evicted after consecutive link failures"},
+      {"rejoins", s.rejoins, "JOINs that healed an eviction"},
+      {"link_failures", s.link_failures,
+       "Worker calls that failed after one reconnect"},
+      {"protocol_errors", s.protocol_errors,
+       "Malformed client frames answered with a typed error"},
+      {"result_cache_hits", s.result_cache_hits,
+       "SUBMITs answered from the router result cache"},
+  };
+  obs::PromWriter w;
+  for (const auto& c : counters) {
+    w.counter(std::string("congestbc_router_") + c.field + "_total", c.help,
+              c.value);
+  }
+  w.gauge("congestbc_router_workers_active", "Workers in the ring",
+          static_cast<double>(s.workers_active));
+  w.gauge("congestbc_router_jobs_tracked", "Router job ids still addressable",
+          static_cast<double>(s.jobs_tracked));
+  return w.str();
 }
 
-void Router::accept_clients() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;
-    }
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    sessions_.push_back(std::make_unique<Session>(fd, config_.max_frame_bytes));
-  }
-}
-
-void Router::handle_session_input(Session& session) {
-  std::uint8_t buf[65536];
-  while (true) {
-    const ssize_t n = ::recv(session.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      session.decoder.feed(buf, static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof buf) {
-        break;
-      }
-      continue;
-    }
-    if (n == 0) {
-      session.dead = true;
-      return;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    session.dead = true;
-    return;
-  }
-}
-
-// Same contract as the daemon's frame loop: every protocol violation is
-// answered with one typed ERROR frame and the connection closes after
-// the flush — hostile bytes never take the router down.
-void Router::process_session_frames(Session& session) {
-  try {
-    while (session.pending_out() <= config_.session_out_limit) {
-      auto frame = session.decoder.next();
-      if (!frame) {
-        break;
-      }
-      const Request request = service::decode_request(*frame);
-      append_reply(session, dispatch(request));
-    }
-  } catch (const ProtocolError& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.protocol_errors;
-    }
-    Reply reply;
-    reply.type = MsgType::kError;
-    reply.error.code = e.code();
-    reply.error.message = e.what();
-    append_reply(session, reply);
-    session.close_after_flush = true;
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.protocol_errors;
-    }
-    Reply reply;
-    reply.type = MsgType::kError;
-    reply.error.code = ProtoError::kBadRequest;
-    reply.error.message = std::string("internal error: ") + e.what();
-    append_reply(session, reply);
-    session.close_after_flush = true;
-  }
-}
-
-void Router::append_reply(Session& session, const Reply& reply) {
-  const std::vector<std::uint8_t> bytes =
-      service::frame_bytes(service::encode_reply(reply));
-  session.out.insert(session.out.end(), bytes.begin(), bytes.end());
-}
-
-void Router::flush_session_output(Session& session) {
-  while (session.out_pos < session.out.size()) {
-    const ssize_t n =
-        ::send(session.fd, session.out.data() + session.out_pos,
-               session.out.size() - session.out_pos, MSG_NOSIGNAL);
-    if (n > 0) {
-      session.out_pos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
-    session.dead = true;
-    return;
-  }
-  session.out.clear();
-  session.out_pos = 0;
-  if (session.close_after_flush) {
-    session.dead = true;
-  }
-}
-
-void Router::finish_drain() {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  bool pending = true;
-  while (pending && std::chrono::steady_clock::now() < deadline) {
-    pending = false;
-    for (auto& session : sessions_) {
-      if (!session->dead && session->out_pos < session->out.size()) {
-        flush_session_output(*session);
-        pending |= !session->dead && session->out_pos < session->out.size();
-      }
-    }
-    if (pending) {
-      ::poll(nullptr, 0, 10);
-    }
-  }
-  for (auto& session : sessions_) {
-    close_fd(session->fd);
-  }
-  sessions_.clear();
+void Router::count_protocol_error() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.protocol_errors;
 }
 
 // ------------------------------------------------------ worker links
@@ -514,7 +240,7 @@ void Router::evict_locked(WorkerLink& worker) {
   ++stats_.evictions;
 }
 
-void Router::health_check_tick() {
+void Router::tick() {
   if (config_.health_every_ms == 0) {
     return;
   }

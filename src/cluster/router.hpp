@@ -1,8 +1,10 @@
 // The cluster front-end (DESIGN.md §16): one congestbc_router speaks
 // CBCP v6 to clients and the same protocol over worker links to N
-// congestbcd workers.
+// congestbcd workers.  It runs the daemon's TCP loop
+// (service/frame_server.hpp), so its port also answers `GET /metrics`
+// with the router's own counters.
 //
-//   clients ──CBCP──▶ router io thread ──CBCP──▶ worker daemons
+//   clients ──CBCP──▶ FrameServer io thread ──CBCP──▶ worker daemons
 //                       │ consistent-hash ring (cluster/ring.hpp)
 //                       │ job table: router id ⇄ (worker, remote id)
 //                       │ health checks, eviction, rejoin
@@ -36,20 +38,20 @@
 // single source of truth for execution and caching.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/ring.hpp"
 #include "service/client.hpp"
+#include "service/frame_server.hpp"
 #include "service/protocol.hpp"
 
 namespace congestbc::cluster {
@@ -84,9 +86,6 @@ struct RouterConfig {
   std::uint64_t migration_grace_ms = 10000;
   /// Virtual points per worker on the ring.
   unsigned ring_vnodes = 64;
-  std::uint32_t max_frame_bytes = service::kMaxFramePayloadBytes;
-  /// Same write-side backpressure contract as DaemonConfig.
-  std::size_t session_out_limit = 64u << 20;
   /// Retained terminal router jobs (served results stay addressable for
   /// re-polls until the cap evicts them oldest-first).
   std::size_t job_retention_limit = 65536;
@@ -100,7 +99,9 @@ struct RouterConfig {
   std::size_t result_cache_entries = 0;
 };
 
-/// Router-plane counters, readable while serving (Router::stats()).
+/// Router-plane counters, readable while serving (Router::stats()) and
+/// scraped as `congestbc_router_<field>_total` from GET /metrics
+/// (workers_active and jobs_tracked are gauges, without the suffix).
 struct RouterStats {
   std::uint64_t submits_routed = 0;
   std::uint64_t spillovers = 0;       ///< home busy/draining, successor took it
@@ -119,28 +120,14 @@ struct RouterStats {
   std::uint64_t result_cache_hits = 0;
 };
 
-class Router {
+class Router final : public service::FrameServer {
  public:
   explicit Router(RouterConfig config);
   ~Router();
 
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
   /// Binds + listens and seeds the ring with the static worker list.
   /// Throws std::runtime_error on socket failure.
   void start();
-  std::uint16_t port() const { return port_; }
-
-  /// Runs the poll loop in the calling thread; returns once drained.
-  void serve();
-  void serve_async();
-  void wait();
-
-  /// Graceful stop (thread-safe, idempotent).
-  void request_drain();
-  /// Async-signal-safe drain trigger for SIGTERM handlers.
-  void notify_signal();
 
   RouterStats stats() const;
 
@@ -179,21 +166,11 @@ class Router {
     bool terminal = false;  ///< retention GC eligibility
   };
 
-  struct Session {
-    int fd = -1;
-    service::FrameDecoder decoder;
-    std::vector<std::uint8_t> out;
-    std::size_t out_pos = 0;
-    bool close_after_flush = false;
-    bool dead = false;
-
-    Session(int fd_in, std::uint32_t max_frame_bytes)
-        : fd(fd_in), decoder(max_frame_bytes) {}
-    std::size_t pending_out() const { return out.size() - out_pos; }
-  };
-
   // --- request handling (io thread) ---
-  service::Reply dispatch(const service::Request& request);
+  service::Reply dispatch(const service::Request& request) override;
+  /// GET /metrics → RouterStats as Prometheus text.
+  std::optional<std::string> http_get(const std::string& path) override;
+  void count_protocol_error() override;
   service::SubmitReply route_submit(const service::SubmitRequest& request);
   service::MutateReply route_mutate(const service::MutateRequest& request);
   service::StatusReply route_status(std::uint64_t router_job_id);
@@ -214,7 +191,8 @@ class Router {
                            int timeout_ms);
   void note_link_failure(WorkerLink& worker);
   void evict_locked(WorkerLink& worker);
-  void health_check_tick();
+  /// The per-tick hook: probes one active worker every health_every_ms.
+  void tick() override;
   /// True while a stranded job should keep answering kQueued: the worker
   /// has not cleanly LEFT and its link went dark less than
   /// migration_grace_ms ago (or is merely flapping).
@@ -246,23 +224,7 @@ class Router {
   /// whether STATUS/RESULT can now be answered locally.
   bool adopt_cached_result(RoutedJob& job);
 
-  // --- poll loop internals (mirrors the daemon's session machinery) ---
-  void accept_clients();
-  void handle_session_input(Session& session);
-  void process_session_frames(Session& session);
-  void flush_session_output(Session& session);
-  void append_reply(Session& session, const service::Reply& reply);
-  void finish_drain();
-
   RouterConfig config_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> drain_requested_{false};
-  bool draining_ = false;
-  bool started_ = false;
-
-  std::vector<std::unique_ptr<Session>> sessions_;
 
   /// Guards the membership/job/stats state below.  The io thread is the
   /// only mutator; the lock exists so stats() (tests, tooling) can read
@@ -282,7 +244,6 @@ class Router {
   RouterStats stats_;
 
   std::chrono::steady_clock::time_point last_health_;
-  std::thread serve_thread_;
 };
 
 }  // namespace congestbc::cluster

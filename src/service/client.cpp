@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -70,6 +71,23 @@ void set_nonblocking(int fd) {
 }
 
 }  // namespace
+
+bool split_host_port(const std::string& address, std::string& host,
+                     std::uint16_t& port) {
+  const std::size_t colon = address.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= address.size()) {
+    return false;
+  }
+  char* end = nullptr;
+  const unsigned long value =
+      std::strtoul(address.c_str() + colon + 1, &end, 10);
+  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) {
+    return false;
+  }
+  host = address.substr(0, colon);
+  port = static_cast<std::uint16_t>(value);
+  return true;
+}
 
 Client::~Client() { close(); }
 

@@ -25,6 +25,11 @@
 
 namespace congestbc::service {
 
+/// "host:port" → parts (the form of --join and router seed addresses);
+/// false on anything that does not parse.
+bool split_host_port(const std::string& address, std::string& host,
+                     std::uint16_t& port);
+
 class Client {
  public:
   Client() = default;

@@ -1,17 +1,8 @@
 #include "service/daemon.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -41,20 +32,6 @@ std::string fingerprint_hex(std::uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(fp));
   return std::string(buf);
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
 }
 
 /// The servable block of an outcome — complete or partial harvest alike.
@@ -112,24 +89,6 @@ void write_text_atomic(const fs::path& target, const std::string& text) {
 std::uint64_t tagged_incremental_fingerprint(std::uint64_t run_fp) {
   static const std::uint8_t kTag[] = {'i', 'n', 'c', '-', 'b', 'c'};
   return fnv1a_u64(run_fp, fnv1a(kTag, sizeof kTag));
-}
-
-/// "host:port" → parts; false on anything that does not parse (the
-/// daemon treats a bad --join target as "standalone" rather than dying).
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(s.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) {
-    return false;
-  }
-  host = s.substr(0, colon);
-  port = static_cast<std::uint16_t>(value);
-  return true;
 }
 
 /// Round number of a checkpoint file ("ckpt-000000000042.cbcsnap" → 42);
@@ -199,97 +158,38 @@ std::vector<stream::EdgeOp> parse_stream_batch(std::istream& in) {
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config)
-    : config_(std::move(config)), cache_(config_.cache_capacity) {}
+    : FrameServer(config.session_out_limit),
+      config_(std::move(config)),
+      cache_(config_.cache_capacity) {}
 
 Daemon::~Daemon() {
+  // The serve thread calls this daemon's hooks: join it before any
+  // member goes away.
   request_drain();
   wait();
   if (pool_) {
     pool_->stop();
   }
-  for (auto& session : sessions_) {
-    close_fd(session->fd);
-  }
-  sessions_.clear();
-  close_fd(listen_fd_);
-  close_fd(wake_pipe_[0]);
-  close_fd(wake_pipe_[1]);
 }
 
 void Daemon::start() {
-  if (started_) {
+  if (pool_) {
     return;
   }
-  if (::pipe(wake_pipe_) != 0) {
-    throw std::runtime_error("pipe() failed: " + std::string(std::strerror(errno)));
-  }
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
-
+  // The wake pipe must exist before the pool starts: finished jobs
+  // write to it.
+  listen_on(config_.host, config_.port);
   pool_ = std::make_unique<WorkerPool>(config_.workers);
   if (!config_.spool_dir.empty()) {
     fs::create_directories(config_.spool_dir);
     recover_spool();
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("socket() failed: " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("bad listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    throw std::runtime_error("bind() failed: " + std::string(std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, 1024) != 0) {
-    throw std::runtime_error("listen() failed: " + std::string(std::strerror(errno)));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
   last_metrics_dump_ = std::chrono::steady_clock::now();
   if (!config_.join_router.empty()) {
     // Best-effort: the router may not be up yet; the heartbeat in
-    // poll_tick_housekeeping keeps retrying (and heals evictions).
+    // tick() keeps retrying (and heals evictions).
     announce_join();
     last_join_ = std::chrono::steady_clock::now();
-  }
-  started_ = true;
-}
-
-void Daemon::serve_async() {
-  serve_thread_ = std::thread([this] { serve(); });
-}
-
-void Daemon::wait() {
-  if (serve_thread_.joinable()) {
-    serve_thread_.join();
-  }
-}
-
-void Daemon::request_drain() {
-  drain_requested_.store(true, std::memory_order_relaxed);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-}
-
-void Daemon::notify_signal() {
-  // Async-signal-safe by construction: a lock-free atomic store and one
-  // write(2) on a nonblocking pipe — no locks, no allocation, no stdio.
-  drain_requested_.store(true, std::memory_order_relaxed);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
   }
 }
 
@@ -316,280 +216,24 @@ StatsReply Daemon::stats_locked() {
                            utilization, graph_version);
 }
 
-// --------------------------------------------------------- poll loop
+// ------------------------------------------------ frame-server hooks
 
-void Daemon::serve() {
-  std::vector<pollfd> fds;
-  while (true) {
-    fds.clear();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    int listen_idx = -1;
-    if (!draining_ && listen_fd_ >= 0) {
-      listen_idx = static_cast<int>(fds.size());
-      fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    }
-    const std::size_t base = fds.size();
-    for (const auto& session : sessions_) {
-      short events = 0;
-      // Backpressure: a session sitting on too much un-flushed reply data
-      // stops being read (and TCP pushes back on the peer) until the
-      // backlog drains.
-      if (!session->close_after_flush &&
-          session->pending_out() <= config_.session_out_limit) {
-        events |= POLLIN;
-      }
-      if (session->out_pos < session->out.size()) {
-        events |= POLLOUT;
-      }
-      fds.push_back(pollfd{session->fd, events, 0});
-    }
-
-    const int rc = ::poll(fds.data(), fds.size(), 50);
-    if (rc < 0 && errno != EINTR) {
-      break;  // unrecoverable poll failure; fall through to drain
-    }
-
-    if (fds[0].revents & POLLIN) {
-      std::uint8_t buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
-      }
-    }
-    if (drain_requested_.load(std::memory_order_relaxed) && !draining_) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      begin_drain_locked();
-    }
-    if (!draining_ && listen_idx >= 0 &&
-        (fds[static_cast<std::size_t>(listen_idx)].revents & POLLIN)) {
-      accept_clients();
-    }
-    for (std::size_t i = 0; i < sessions_.size() && base + i < fds.size(); ++i) {
-      Session& session = *sessions_[i];
-      const short revents = fds[base + i].revents;
-      if (revents & (POLLIN | POLLERR | POLLHUP)) {
-        handle_session_input(session);
-      }
-      // Run the dispatch loop every tick, not just on input: frames held
-      // back by output backpressure resume once the backlog drains.
-      if (!session.dead && !session.close_after_flush) {
-        process_session_frames(session);
-      }
-      if (!session.dead && session.out_pos < session.out.size()) {
-        flush_session_output(session);
-      }
-    }
-    sessions_.erase(
-        std::remove_if(sessions_.begin(), sessions_.end(),
-                       [](const std::unique_ptr<Session>& s) {
-                         if (s->dead) {
-                           int fd = s->fd;
-                           close_fd(fd);
-                           return true;
-                         }
-                         return false;
-                       }),
-        sessions_.end());
-
-    poll_tick_housekeeping();
-
-    if (draining_) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (drain_complete_locked()) {
-        break;
-      }
-    }
+std::optional<std::string> Daemon::http_get(const std::string& path) {
+  if (path != "/metrics") {
+    return std::nullopt;
   }
-  finish_drain();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return prometheus_text(stats_locked(), metrics_.latency_ms_hist,
+                         metrics_.job_rounds_hist,
+                         metrics_.round_throughput_hist);
 }
 
-void Daemon::accept_clients() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;  // EAGAIN/EWOULDBLOCK or transient accept failure
-    }
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    sessions_.push_back(std::make_unique<Session>(fd, config_.max_frame_bytes));
-  }
+void Daemon::count_protocol_error() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++metrics_.protocol_errors;
 }
 
-void Daemon::handle_session_input(Session& session) {
-  std::uint8_t buf[65536];
-  while (true) {
-    const ssize_t n = ::recv(session.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      feed_session_bytes(session, buf, static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof buf) {
-        break;
-      }
-      continue;
-    }
-    if (n == 0) {
-      session.dead = true;  // peer closed; nothing more to serve
-      return;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    session.dead = true;
-    return;
-  }
-}
-
-// Hard cap on a buffered HTTP request: /metrics needs one short line,
-// so anything larger is hostile.
-constexpr std::size_t kMaxHttpRequestBytes = 8192;
-
-void Daemon::feed_session_bytes(Session& session, const std::uint8_t* data,
-                                std::size_t n) {
-  if (session.mode == Session::Mode::kFrames) {
-    session.decoder.feed(data, n);
-    return;
-  }
-  session.sniff.insert(session.sniff.end(), data, data + n);
-  if (session.mode == Session::Mode::kUnknown) {
-    if (session.sniff.size() < 4) {
-      return;  // not enough bytes to tell HTTP from CBCP yet
-    }
-    if (std::memcmp(session.sniff.data(), "GET ", 4) == 0) {
-      session.mode = Session::Mode::kHttp;
-    } else {
-      session.mode = Session::Mode::kFrames;
-      session.decoder.feed(session.sniff.data(), session.sniff.size());
-      session.sniff.clear();
-      session.sniff.shrink_to_fit();
-      return;
-    }
-  }
-  if (session.sniff.size() > kMaxHttpRequestBytes) {
-    session.dead = true;
-  }
-}
-
-void Daemon::process_http_request(Session& session) {
-  static constexpr char kTerminator[] = "\r\n\r\n";
-  const auto end = std::search(session.sniff.begin(), session.sniff.end(),
-                               kTerminator, kTerminator + 4);
-  if (end == session.sniff.end()) {
-    return;  // headers still arriving
-  }
-  // Request line: "GET <path> HTTP/1.x".
-  std::string line(session.sniff.begin(),
-                   std::find(session.sniff.begin(), session.sniff.end(), '\r'));
-  std::string path;
-  const std::size_t sp1 = line.find(' ');
-  if (sp1 != std::string::npos) {
-    const std::size_t sp2 = line.find(' ', sp1 + 1);
-    path = line.substr(sp1 + 1, sp2 == std::string::npos ? std::string::npos
-                                                         : sp2 - sp1 - 1);
-  }
-  std::string status = "200 OK";
-  std::string content_type = "text/plain; version=0.0.4; charset=utf-8";
-  std::string body;
-  if (path == "/metrics") {
-    std::lock_guard<std::mutex> lock(mutex_);
-    body = prometheus_text(stats_locked(), metrics_.latency_ms_hist,
-                           metrics_.job_rounds_hist,
-                           metrics_.round_throughput_hist);
-  } else {
-    status = "404 Not Found";
-    content_type = "text/plain; charset=utf-8";
-    body = "not found; try /metrics\n";
-  }
-  std::string response = "HTTP/1.1 " + status +
-                         "\r\nContent-Type: " + content_type +
-                         "\r\nContent-Length: " + std::to_string(body.size()) +
-                         "\r\nConnection: close\r\n\r\n" + body;
-  session.out.insert(session.out.end(), response.begin(), response.end());
-  session.sniff.clear();
-  session.close_after_flush = true;  // one request per connection
-}
-
-// Deframe + dispatch.  Any protocol violation gets one typed ERROR
-// frame, then the connection is closed after the flush — a hostile or
-// corrupted stream cannot be resynchronized safely.  The loop pauses
-// while the session's un-flushed output exceeds its backpressure limit;
-// buffered frames stay in the decoder until the backlog drains.
-void Daemon::process_session_frames(Session& session) {
-  if (session.mode == Session::Mode::kHttp) {
-    process_http_request(session);
-    return;
-  }
-  try {
-    while (session.pending_out() <= config_.session_out_limit) {
-      auto frame = session.decoder.next();
-      if (!frame) {
-        break;
-      }
-      const Request request = decode_request(*frame);
-      append_reply(session, dispatch(request));
-    }
-  } catch (const ProtocolError& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++metrics_.protocol_errors;
-    }
-    Reply reply;
-    reply.type = MsgType::kError;
-    reply.error.code = e.code();
-    reply.error.message = e.what();
-    append_reply(session, reply);
-    session.close_after_flush = true;
-  } catch (const std::exception& e) {
-    // Never-crash backstop: anything that escapes the typed path (an
-    // allocation failure on a hostile size, an invariant trip) costs the
-    // offending session its connection, not the daemon its life.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++metrics_.protocol_errors;
-    }
-    Reply reply;
-    reply.type = MsgType::kError;
-    reply.error.code = ProtoError::kBadRequest;
-    reply.error.message = std::string("internal error: ") + e.what();
-    append_reply(session, reply);
-    session.close_after_flush = true;
-  }
-}
-
-void Daemon::append_reply(Session& session, const Reply& reply) {
-  const std::vector<std::uint8_t> bytes = frame_bytes(encode_reply(reply));
-  session.out.insert(session.out.end(), bytes.begin(), bytes.end());
-}
-
-void Daemon::flush_session_output(Session& session) {
-  while (session.out_pos < session.out.size()) {
-    const ssize_t n =
-        ::send(session.fd, session.out.data() + session.out_pos,
-               session.out.size() - session.out_pos, MSG_NOSIGNAL);
-    if (n > 0) {
-      session.out_pos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
-    session.dead = true;
-    return;
-  }
-  session.out.clear();
-  session.out_pos = 0;
-  if (session.close_after_flush) {
-    session.dead = true;
-  }
-}
-
-void Daemon::poll_tick_housekeeping() {
+void Daemon::tick() {
   const auto now = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -669,13 +313,9 @@ void Daemon::poll_tick_housekeeping() {
 
 // ------------------------------------------------------------- drain
 
-void Daemon::begin_drain_locked() {
-  if (draining_) {
-    return;
-  }
+void Daemon::begin_drain() {
+  std::lock_guard<std::mutex> lock(mutex_);
   draining_ = true;
-  drain_requested_.store(true, std::memory_order_relaxed);
-  close_fd(listen_fd_);
   // Queued-but-unstarted jobs: suspend on the spot.  Their spool entries
   // (written at admission) are what a restarted daemon re-enqueues.
   for (const auto& job : queue_) {
@@ -698,9 +338,12 @@ void Daemon::begin_drain_locked() {
   }
 }
 
-bool Daemon::drain_complete_locked() const { return running_ == 0; }
+bool Daemon::drain_complete() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return running_ == 0;
+}
 
-void Daemon::finish_drain() {
+void Daemon::before_final_flush() {
   if (pool_) {
     pool_->stop();
   }
@@ -708,31 +351,13 @@ void Daemon::finish_drain() {
     std::lock_guard<std::mutex> lock(mutex_);
     flush_cache_index_locked();
   }
-  // Best-effort flush of replies already queued (e.g. the SHUTDOWN ack),
-  // bounded so a stuck client cannot wedge the exit.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  bool pending = true;
-  while (pending && std::chrono::steady_clock::now() < deadline) {
-    pending = false;
-    for (auto& session : sessions_) {
-      if (!session->dead && session->out_pos < session->out.size()) {
-        flush_session_output(*session);
-        pending |= !session->dead && session->out_pos < session->out.size();
-      }
-    }
-    if (pending) {
-      ::poll(nullptr, 0, 10);
-    }
-  }
-  // Sessions close BEFORE migration: the router is one of them, and its
-  // io thread must not sit in a poll this daemon will never answer while
-  // that same thread is the one that has to forward our MIGRATEs — the
-  // instant EOF frees it (and tells it to stop routing polls here).
-  for (auto& session : sessions_) {
-    close_fd(session->fd);
-  }
-  sessions_.clear();
+}
+
+// Sessions close BEFORE migration: the router is one of them, and its
+// io thread must not sit in a poll this daemon will never answer while
+// that same thread is the one that has to forward our MIGRATEs — the
+// instant EOF frees it (and tells it to stop routing polls here).
+void Daemon::after_sessions_closed() {
   if (!config_.join_router.empty()) {
     // Transplant suspended jobs (and unfetched results) to a surviving
     // worker via the router, then leave the ring — before the final
@@ -749,7 +374,7 @@ void Daemon::finish_drain() {
 std::string Daemon::worker_id() const {
   const std::string& host =
       config_.advertise_host.empty() ? config_.host : config_.advertise_host;
-  return host + ":" + std::to_string(port_);
+  return host + ":" + std::to_string(port());
 }
 
 void Daemon::announce_join() {
@@ -767,7 +392,7 @@ void Daemon::announce_join() {
     join.worker_id = worker_id();
     join.host =
         config_.advertise_host.empty() ? config_.host : config_.advertise_host;
-    join.port = port_;
+    join.port = FrameServer::port();
     (void)client.join(join);
   } catch (const std::exception&) {
     // Best-effort; the next heartbeat retries.
@@ -1932,10 +1557,7 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
     retire_job_locked(*job);
   }
   // Nudge the poll loop so a drain waiting on running_ notices promptly.
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
+  wake();
 }
 
 void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
@@ -2070,10 +1692,7 @@ void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
   metrics_.record_latency_ms(latency_ms);
   metrics_.record_job_rounds(block.rounds, latency_ms);
   mark_terminal_locked(job);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
+  wake();
 }
 
 // ------------------------------------------------------- persistence

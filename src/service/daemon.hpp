@@ -1,10 +1,12 @@
-// The BC serving daemon: a poll(2)-based TCP server that turns the
-// one-shot pipeline (core/runner.hpp) into a long-lived service.
+// The BC serving daemon: a FrameServer (service/frame_server.hpp) that
+// turns the one-shot pipeline (core/runner.hpp) into a long-lived
+// service.
 //
 // Architecture (DESIGN.md §10):
 //
-//   clients ──TCP──▶ io thread (poll loop, framing, admission)
-//                      │ bounded queue, fingerprint coalescing
+//   clients ──TCP──▶ FrameServer io thread (poll loop, framing, /metrics)
+//                      │ Daemon::dispatch: admission, bounded queue,
+//                      │ fingerprint coalescing
 //                      ▼
 //                    WorkerPool (core/thread_pool.hpp)
 //                      │ run_bc_with_watchdog + checkpoint policy
@@ -37,7 +39,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,6 +48,7 @@
 #include "graph/digraph.hpp"
 #include "graph/graph.hpp"
 #include "service/cache.hpp"
+#include "service/frame_server.hpp"
 #include "service/journal.hpp"
 #include "service/metrics.hpp"
 #include "service/protocol.hpp"
@@ -90,8 +92,6 @@ struct DaemonConfig {
   /// disables.  Always written once more at drain.
   std::string metrics_path;
   std::uint64_t metrics_every_ms = 1000;
-  /// Frame-size cap handed to each connection's FrameDecoder.
-  std::uint32_t max_frame_bytes = kMaxFramePayloadBytes;
   /// How long a terminal job (done/failed/cancelled) stays addressable by
   /// STATUS/RESULT before it is garbage-collected and answers kUnknown.
   /// 0 = no time limit (job_retention_limit still applies).
@@ -103,7 +103,7 @@ struct DaemonConfig {
   /// reply bytes, the daemon stops reading and processing its requests
   /// until the backlog drains.  Worst-case buffered output per session is
   /// this limit plus one maximal reply frame.
-  std::size_t session_out_limit = 64u << 20;
+  std::size_t session_out_limit = kDefaultSessionOutLimit;
   /// Cluster membership (v6): "host:port" of a congestbc_router to JOIN.
   /// Empty = standalone daemon.  When set, the daemon announces itself
   /// after binding, re-sends the (idempotent) JOIN every join_every_ms as
@@ -118,38 +118,15 @@ struct DaemonConfig {
   std::uint64_t join_every_ms = 1000;
 };
 
-class Daemon {
+class Daemon final : public FrameServer {
  public:
   explicit Daemon(DaemonConfig config);
   ~Daemon();
-
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
 
   /// Binds + listens, recovers the spool (resumable jobs re-enqueued,
   /// persisted cache entries reloaded in LRU order), starts the workers.
   /// Throws std::runtime_error on socket failure.
   void start();
-
-  /// The bound port (after start()).
-  std::uint16_t port() const { return port_; }
-
-  /// Runs the poll loop in the calling thread; returns once a drain
-  /// completes.
-  void serve();
-
-  /// serve() on an internal thread; pair with wait().
-  void serve_async();
-  void wait();
-
-  /// Begins the graceful drain (thread-safe, idempotent).
-  void request_drain();
-
-  /// Async-signal-safe drain trigger for SIGTERM handlers: one write()
-  /// to the wake pipe, nothing else.
-  void notify_signal();
-
-  bool draining() const { return drain_requested_.load(std::memory_order_relaxed); }
 
   /// Current stats snapshot (what a STATS request returns) — for tests
   /// and the periodic dump.
@@ -215,33 +192,11 @@ class Daemon {
     std::uint64_t maintainer_version = 0;
   };
 
-  struct Session {
-    /// What the first bytes said this connection speaks: CBCP frames, or
-    /// HTTP ("GET ...") for the plaintext /metrics endpoint.  Sniffed
-    /// before anything reaches the FrameDecoder (which would answer
-    /// kBadMagic).
-    enum class Mode : std::uint8_t { kUnknown, kFrames, kHttp };
-
-    int fd = -1;
-    FrameDecoder decoder;
-    std::vector<std::uint8_t> out;
-    std::size_t out_pos = 0;
-    bool close_after_flush = false;
-    bool dead = false;
-    Mode mode = Mode::kUnknown;
-    /// Bytes buffered while the mode is unknown; for kHttp, the request
-    /// accumulates here until the blank line.
-    std::vector<std::uint8_t> sniff;
-
-    explicit Session(int fd_in, std::uint32_t max_frame_bytes)
-        : fd(fd_in), decoder(max_frame_bytes) {}
-
-    /// Reply bytes appended but not yet written to the socket.
-    std::size_t pending_out() const { return out.size() - out_pos; }
-  };
-
   // --- request handling (io thread) ---
-  Reply dispatch(const Request& request);
+  Reply dispatch(const Request& request) override;
+  /// GET /metrics → Prometheus text of the STATS counters + histograms.
+  std::optional<std::string> http_get(const std::string& path) override;
+  void count_protocol_error() override;
   SubmitReply handle_submit(const SubmitRequest& request);
   MutateReply handle_mutate(const MutateRequest& request);
   StatusReply handle_status(std::uint64_t job_id);
@@ -288,22 +243,17 @@ class Daemon {
   /// ids answer kUnknown afterwards.
   void gc_jobs_locked(std::chrono::steady_clock::time_point now);
 
-  // --- drain / poll loop internals (io thread) ---
-  void begin_drain_locked();
-  bool drain_complete_locked() const;
-  void finish_drain();
-  void poll_tick_housekeeping();
-  void handle_session_input(Session& session);
-  /// Routes received bytes by Session::Mode (sniffing on first contact).
-  void feed_session_bytes(Session& session, const std::uint8_t* data,
-                          std::size_t n);
-  void process_session_frames(Session& session);
-  /// Answers one buffered HTTP request (GET /metrics → Prometheus text)
-  /// and closes the connection after the flush.
-  void process_http_request(Session& session);
-  void flush_session_output(Session& session);
-  void accept_clients();
-  void append_reply(Session& session, const Reply& reply);
+  // --- drain / per-tick hooks (io thread) ---
+  /// Budget and deadline halts, job GC, metrics dump, JOIN heartbeat.
+  void tick() override;
+  /// Suspends queued jobs and halts running ones.
+  void begin_drain() override;
+  /// Done once no job is running.
+  bool drain_complete() override;
+  /// Stops the pool and flushes the cache index.
+  void before_final_flush() override;
+  /// Migrates suspended jobs (with join_router) and dumps metrics.
+  void after_sessions_closed() override;
 
   // --- spool persistence ---
   std::string jobs_dir() const;
@@ -364,15 +314,11 @@ class Daemon {
   void migrate_suspended_jobs();
 
   DaemonConfig config_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> drain_requested_{false};
-  bool draining_ = false;  ///< drain observed by the io thread
-  bool started_ = false;
+  /// Drain observed by the io thread; written under mutex_ because
+  /// workers read it.
+  bool draining_ = false;
 
   std::unique_ptr<WorkerPool> pool_;
-  std::vector<std::unique_ptr<Session>> sessions_;
 
   /// Scheduler mutex: guards everything below (io thread + workers).
   std::mutex mutex_;
@@ -396,7 +342,6 @@ class Daemon {
 
   std::chrono::steady_clock::time_point last_metrics_dump_;
   std::chrono::steady_clock::time_point last_join_;
-  std::thread serve_thread_;
 };
 
 }  // namespace congestbc::service

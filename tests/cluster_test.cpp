@@ -631,7 +631,9 @@ TEST(ClusterRouter, HostileBytesDrawATypedErrorAndTheRouterKeepsServing) {
   addr.sin_port = htons(router.router().port());
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  const char garbage[] = "GET /metrics HTTP/1.1\r\n\r\n";  // not CBCP
+  // Not "GET ..." — that prefix selects the HTTP /metrics path
+  // (MetricsEndpointServesRouterCounters); anything else is CBCP.
+  const char garbage[] = "PUT /x HTTP/1.1\r\n\r\n";  // not CBCP
   ASSERT_GT(::send(fd, garbage, sizeof garbage - 1, 0), 0);
 
   // The router answers a typed ERROR frame, then closes the session.
@@ -650,6 +652,111 @@ TEST(ClusterRouter, HostileBytesDrawATypedErrorAndTheRouterKeepsServing) {
   const SubmitReply reply = good.submit(inline_submit(data_file("karate.txt")));
   ASSERT_NE(reply.disposition, SubmitDisposition::kRejected) << reply.detail;
   ASSERT_TRUE(good.wait_result(reply.job_id).ready);
+}
+
+/// One blocking HTTP exchange against a listener: sends the request
+/// verbatim, reads to close, returns the raw response.
+std::string http_exchange(std::uint16_t port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  EXPECT_GT(::send(fd, request.data(), request.size(), 0), 0);
+  std::string response;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+/// Value of a Prometheus sample line ("name 42") in a scrape body.
+double metric_value(const std::string& body, const std::string& name) {
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "metric " << name << " not found in scrape";
+  return -1.0;
+}
+
+// The router's port answers GET /metrics with its own counters, the
+// same values Router::stats() reads in-process.
+TEST(ClusterRouter, MetricsEndpointServesRouterCounters) {
+  RouterConfig rc;
+  rc.health_every_ms = 0;  // no probes: the counters hold still
+  RouterHarness router(rc);
+  WorkerHarness worker(worker_config(router.address()));
+  ASSERT_TRUE(wait_until(
+      [&] { return router.router().stats().workers_active == 1; }));
+
+  Client client;
+  router.connect(client);
+  const std::string karate = data_file("karate.txt");
+  const SubmitReply admitted = client.submit(inline_submit(karate));
+  ASSERT_EQ(admitted.disposition, SubmitDisposition::kQueued)
+      << admitted.detail;
+  ASSERT_TRUE(client.wait_result(admitted.job_id).ready);
+  // One protocol error (an ERROR frame, then close), so that counter
+  // reads nonzero too.
+  EXPECT_FALSE(
+      http_exchange(router.router().port(), "PUT /x HTTP/1.1\r\n\r\n").empty());
+  ASSERT_TRUE(wait_until(
+      [&] { return router.router().stats().protocol_errors == 1; }));
+
+  const std::string response = http_exchange(
+      router.router().port(), "GET /metrics HTTP/1.0\r\nHost: t\r\n\r\n");
+  ASSERT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  ASSERT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
+            std::string::npos);
+  const std::string body = response.substr(response.find("\r\n\r\n") + 4);
+  const RouterStats s = router.router().stats();
+  const auto counter = [&](const std::string& field) {
+    return metric_value(body, "congestbc_router_" + field + "_total");
+  };
+  EXPECT_EQ(counter("submits_routed"), static_cast<double>(s.submits_routed));
+  EXPECT_EQ(counter("spillovers"), static_cast<double>(s.spillovers));
+  EXPECT_EQ(counter("cross_worker_hits"),
+            static_cast<double>(s.cross_worker_hits));
+  EXPECT_EQ(counter("migrations_forwarded"),
+            static_cast<double>(s.migrations_forwarded));
+  EXPECT_EQ(counter("migrations_failed"),
+            static_cast<double>(s.migrations_failed));
+  EXPECT_EQ(counter("joins"), static_cast<double>(s.joins));
+  EXPECT_EQ(counter("leaves"), static_cast<double>(s.leaves));
+  EXPECT_EQ(counter("evictions"), static_cast<double>(s.evictions));
+  EXPECT_EQ(counter("rejoins"), static_cast<double>(s.rejoins));
+  EXPECT_EQ(counter("link_failures"), static_cast<double>(s.link_failures));
+  EXPECT_EQ(counter("protocol_errors"),
+            static_cast<double>(s.protocol_errors));
+  EXPECT_EQ(counter("result_cache_hits"),
+            static_cast<double>(s.result_cache_hits));
+  EXPECT_EQ(metric_value(body, "congestbc_router_workers_active"),
+            static_cast<double>(s.workers_active));
+  EXPECT_EQ(metric_value(body, "congestbc_router_jobs_tracked"),
+            static_cast<double>(s.jobs_tracked));
+  EXPECT_EQ(s.submits_routed, 1u);
+  EXPECT_EQ(s.joins, 1u);
+  EXPECT_EQ(s.protocol_errors, 1u);
+  EXPECT_EQ(s.workers_active, 1u);
+  EXPECT_EQ(s.jobs_tracked, 1u);
+
+  // Unknown paths get a 404, and CBCP clients keep being served.
+  EXPECT_NE(http_exchange(router.router().port(), "GET /nope HTTP/1.0\r\n\r\n")
+                .find("404 Not Found"),
+            std::string::npos);
+  const SubmitReply again = client.submit(inline_submit(karate));
+  EXPECT_EQ(again.disposition, SubmitDisposition::kCacheHit) << again.detail;
+  ASSERT_TRUE(client.wait_result(again.job_id).ready);
 }
 
 // --------------------------------------------- chaos under the tier

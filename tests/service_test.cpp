@@ -22,8 +22,10 @@
 #include <sys/wait.h>
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -724,6 +726,122 @@ TEST(ServiceDaemon, MetricsEndpointServesConsistentCounters) {
   EXPECT_EQ(after.disposition, SubmitDisposition::kCacheHit);
 }
 
+// The session edge cases of the shared server loop: an HTTP request
+// that outgrows its 8 KiB cap is dropped without a reply, a GET split
+// across two sends is answered, and a CBCP SUBMIT trickled one byte at
+// a time through the 4-byte protocol sniff decodes and is served.  A
+// client on another connection is served throughout.
+TEST(ServiceDaemon, SessionSniffHandlesOversizedSplitAndTrickledRequests) {
+  DaemonHarness harness(DaemonConfig{});
+  Client client;
+  harness.connect(client);
+  const std::string karate = data_file("karate.txt");
+
+  const auto connect_raw = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(harness.daemon().port());
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    return fd;
+  };
+  // Reads to close; a read timeout counts as "still open".
+  const auto read_to_close = [](int fd, bool& closed) {
+    std::string bytes;
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n > 0) {
+        bytes.append(chunk, static_cast<std::size_t>(n));
+        continue;
+      }
+      closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+      return bytes;
+    }
+  };
+
+  {
+    // Past the cap with no blank line: closed, nothing written back.
+    const int fd = connect_raw();
+    const std::string oversized =
+        "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(9000, 'a');
+    ASSERT_EQ(::send(fd, oversized.data(), oversized.size(), 0),
+              static_cast<ssize_t>(oversized.size()));
+    bool closed = false;
+    EXPECT_EQ(read_to_close(fd, closed), "");
+    EXPECT_TRUE(closed) << "an oversized HTTP request kept its connection";
+    ::close(fd);
+  }
+  EXPECT_EQ(client.stats().submits, 0u);
+
+  {
+    // The request line arrives in two pieces.
+    const int fd = connect_raw();
+    const std::string head = "GET /met";
+    const std::string tail = "rics HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd, head.data(), head.size(), 0),
+              static_cast<ssize_t>(head.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::send(fd, tail.data(), tail.size(), 0),
+              static_cast<ssize_t>(tail.size()));
+    bool closed = false;
+    const std::string response = read_to_close(fd, closed);
+    EXPECT_TRUE(closed);
+    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+    EXPECT_NE(response.find("congestbcd_submits_total 0"), std::string::npos);
+    ::close(fd);
+  }
+
+  std::uint64_t trickled_job = 0;
+  std::uint64_t trickled_fp = 0;
+  {
+    // One byte per send; the first four each wait long enough to reach
+    // the sniff on their own.
+    const int fd = connect_raw();
+    const std::vector<std::uint8_t> frame =
+        frame_bytes(encode_request(make_submit(inline_submit(karate))));
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      ASSERT_EQ(::send(fd, &frame[i], 1, 0), 1) << "byte " << i;
+      if (i < 4) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    FrameDecoder decoder;
+    std::optional<FramePayload> payload;
+    std::uint8_t chunk[4096];
+    while (!payload) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      ASSERT_GT(n, 0) << "no reply to the trickled SUBMIT";
+      decoder.feed(chunk, static_cast<std::size_t>(n));
+      payload = decoder.next();
+    }
+    ::close(fd);
+    const Reply reply = decode_reply(*payload);
+    ASSERT_EQ(reply.type, MsgType::kSubmitReply);
+    ASSERT_EQ(reply.submit.disposition, SubmitDisposition::kQueued)
+        << reply.submit.detail;
+    trickled_job = reply.submit.job_id;
+    trickled_fp = reply.submit.fingerprint;
+  }
+  const ResultReply trickled = client.wait_result(trickled_job);
+  expect_matches_local_run(trickled, read_edge_list_text(karate),
+                           DistributedBcOptions{});
+
+  // The other connection was served all along, and sees the same job.
+  const SubmitReply again = client.submit(inline_submit(karate));
+  EXPECT_EQ(again.disposition, SubmitDisposition::kCacheHit);
+  EXPECT_EQ(again.fingerprint, trickled_fp);
+  EXPECT_EQ(harness.daemon().stats().protocol_errors, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Portfolio plane (protocol v5): backend selection end-to-end
 
@@ -762,6 +880,9 @@ TEST(ServiceDaemon, AutoDowngradesToSampledUnderQueuePressure) {
   const SubmitReply running =
       client.submit(inline_submit(write_edge_list_text(gen::cycle(600))));
   ASSERT_EQ(running.disposition, SubmitDisposition::kQueued) << running.detail;
+  // Only once the worker took it off the queue does the next job make
+  // exactly one queued job.
+  wait_until_running(client, running.job_id);
   const SubmitReply queued =
       client.submit(inline_submit(write_edge_list_text(gen::cycle(601))));
   ASSERT_EQ(queued.disposition, SubmitDisposition::kQueued) << queued.detail;

@@ -11,6 +11,12 @@
 // resumes them bit-identically — clients polling their router job ids
 // never notice the host change.
 //
+// The same port answers plaintext `GET /metrics` with the router's own
+// counters (congestbc_router_*: routed submits, spillovers, cross-worker
+// hits, migrations, membership, link and protocol errors) — the daemon's
+// socket loop (service::FrameServer) and its "GET " sniff.  STATS over
+// CBCP stays the aggregate of the workers' counters.
+//
 // Usage:
 //   congestbc_router [options]
 //
@@ -53,7 +59,7 @@ congestbc::cluster::Router* g_router = nullptr;
 
 extern "C" void handle_term(int) {
   if (g_router != nullptr) {
-    g_router->notify_signal();  // async-signal-safe: one pipe write
+    g_router->request_drain();  // async-signal-safe: one pipe write
   }
 }
 

@@ -10,7 +10,8 @@
 // format 0.0.4) with the live counters, gauges, and latency/round
 // histograms — `curl http://HOST:PORT/metrics` scrapes a running daemon
 // without any client tooling.  Connections are sniffed: anything that
-// does not start with "GET " is treated as CBCP frames.
+// does not start with "GET " is treated as CBCP frames.  The socket
+// loop is service::FrameServer, the same one congestbc_router runs.
 //
 // Usage:
 //   congestbcd [options]
@@ -64,7 +65,7 @@ congestbc::service::Daemon* g_daemon = nullptr;
 
 extern "C" void handle_term(int) {
   if (g_daemon != nullptr) {
-    g_daemon->notify_signal();  // async-signal-safe: one pipe write
+    g_daemon->request_drain();  // async-signal-safe: one pipe write
   }
 }
 
