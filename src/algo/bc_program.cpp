@@ -500,6 +500,7 @@ std::optional<std::uint64_t> get_opt_u64(BitReader& r) {
 }  // namespace
 
 void BcProgram::save_state(BitWriter& w) const {
+  snap::put_bool(w, i_am_source_);
   tree_.save_state(w);
   snap::put_u64(w, entries_.size());
   for (const SourceEntry& entry : entries_) {
@@ -547,6 +548,11 @@ void BcProgram::save_state(BitWriter& w) const {
 }
 
 void BcProgram::load_state(BitReader& r) {
+  // A node that left the DFS token behind as a non-source never starts
+  // its wave, so a run resumed under a superset mask would finish with
+  // that source silently missing: the mask must match bit for bit.
+  CBC_CHECK(snap::get_bool(r) == i_am_source_,
+            "snapshot was taken under another source set");
   tree_.load_state(r);
   const std::uint64_t num_entries = snap::get_count(r, 35);
   entries_.clear();

@@ -159,8 +159,10 @@ class BcProgram final : public NodeProgram, public Snapshottable {
   /// Checkpoint support: serializes the evolving state of all five
   /// sub-phases (the L_v table, DFS/phase-switch/aggregation cursors,
   /// outputs).  Config-derived fields (entry_index_, the source/target
-  /// flags) are rebuilt, not stored; load_state rejects a row whose
-  /// source is out of range, outside this run's source set, or repeated.
+  /// flags) are rebuilt, not stored, except that the source flag is
+  /// saved to be checked: load_state rejects a snapshot taken under
+  /// another source set, and a row whose source is out of range, outside
+  /// this run's source set, or repeated.
   void save_state(BitWriter& w) const override;
   void load_state(BitReader& r) override;
 

@@ -312,8 +312,12 @@ void Router::mark_terminal(std::uint64_t router_job_id, RoutedJob& job) {
   gc_jobs();
 }
 
+/// Retained terminal router jobs: served results stay addressable for
+/// re-polls until the cap evicts them oldest-first.
+constexpr std::size_t kJobRetentionLimit = 65536;
+
 void Router::gc_jobs() {
-  while (terminal_order_.size() > config_.job_retention_limit) {
+  while (terminal_order_.size() > kJobRetentionLimit) {
     jobs_.erase(terminal_order_.front());
     terminal_order_.pop_front();
   }

@@ -86,9 +86,6 @@ struct RouterConfig {
   std::uint64_t migration_grace_ms = 10000;
   /// Virtual points per worker on the ring.
   unsigned ring_vnodes = 64;
-  /// Retained terminal router jobs (served results stay addressable for
-  /// re-polls until the cap evicts them oldest-first).
-  std::size_t job_retention_limit = 65536;
   /// Router-held result blocks keyed by routing fingerprint (FIFO
   /// evicted beyond this many entries).  0 disables the cache.  With it
   /// on, a submit or poll whose (non-stream) work already produced a

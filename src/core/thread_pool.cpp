@@ -36,11 +36,7 @@ void ThreadPool::run_chunk(unsigned lane) {
   const std::size_t end = job_count_ * (lane + 1) / total_;
   try {
     if (begin < end) {
-      if (lane_job_ != nullptr) {
-        (*lane_job_)(lane, begin, end);
-      } else {
-        (*job_)(begin, end);
-      }
+      (*job_)(lane, begin, end);
     }
   } catch (...) {
     errors_[lane] = std::current_exception();
@@ -72,35 +68,9 @@ void ThreadPool::worker_loop(unsigned lane) {
 void ThreadPool::parallel_ranges(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (total_ == 1 || count <= 1) {
-    if (count > 0) {
-      fn(0, count);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_count_ = count;
-    job_ = &fn;
-    lane_job_ = nullptr;
-    for (auto& e : errors_) {
-      e = nullptr;
-    }
-    unfinished_ = total_ - 1;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  run_chunk(0);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return unfinished_ == 0; });
-    job_ = nullptr;
-  }
-  for (const std::exception_ptr& e : errors_) {
-    if (e != nullptr) {
-      std::rethrow_exception(e);
-    }
-  }
+  parallel_ranges(count, [&fn](unsigned, std::size_t begin, std::size_t end) {
+    fn(begin, end);
+  });
 }
 
 void ThreadPool::parallel_ranges(
@@ -115,8 +85,7 @@ void ThreadPool::parallel_ranges(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_count_ = count;
-    lane_job_ = &fn;
-    job_ = nullptr;
+    job_ = &fn;
     for (auto& e : errors_) {
       e = nullptr;
     }
@@ -128,7 +97,7 @@ void ThreadPool::parallel_ranges(
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return unfinished_ == 0; });
-    lane_job_ = nullptr;
+    job_ = nullptr;
   }
   for (const std::exception_ptr& e : errors_) {
     if (e != nullptr) {

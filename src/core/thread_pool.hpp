@@ -43,7 +43,8 @@ class ThreadPool {
 
   /// Runs fn(begin, end) over the static partition of [0, count); blocks
   /// until every chunk is done, then rethrows the lowest-chunk exception
-  /// if any chunk threw.
+  /// if any chunk threw.  The lane-aware variant below with the lane
+  /// dropped.
   void parallel_ranges(std::size_t count,
                        const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -70,8 +71,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   unsigned unfinished_ = 0;
   std::size_t job_count_ = 0;
-  const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
-  const std::function<void(unsigned, std::size_t, std::size_t)>* lane_job_ =
+  const std::function<void(unsigned, std::size_t, std::size_t)>* job_ =
       nullptr;
   std::vector<std::exception_ptr> errors_;
   bool stopping_ = false;

@@ -51,36 +51,6 @@ ResultBlock outcome_to_block(const RunOutcome& outcome) {
   return block;
 }
 
-/// Atomic small-file write (temp + rename), matching the checkpoint
-/// subsystem's crash-safety discipline.
-void write_file_atomic(const fs::path& target, const BitWriter& payload) {
-  fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    write_snapshot_container(out, payload);
-    if (!out) {
-      throw SnapshotError("cannot write " + tmp.string());
-    }
-  }
-  fs::rename(tmp, target);
-}
-
-/// Atomic plain-text write for the stream log files (base edge lists,
-/// batch files) — same temp + rename discipline.
-void write_text_atomic(const fs::path& target, const std::string& text) {
-  fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << text;
-    if (!out) {
-      throw std::runtime_error("cannot write " + tmp.string());
-    }
-  }
-  fs::rename(tmp, target);
-}
-
 /// Cache key of an incremental result: the classic run fingerprint
 /// folded with a domain tag.  Incremental scores are bit-identical to a
 /// from-scratch *decomposed* recompute, not to a combined engine run
@@ -91,16 +61,37 @@ std::uint64_t tagged_incremental_fingerprint(std::uint64_t run_fp) {
   return fnv1a_u64(run_fp, fnv1a(kTag, sizeof kTag));
 }
 
-/// Round number of a checkpoint file ("ckpt-000000000042.cbcsnap" → 42);
-/// 0 when the name does not match the pattern.
-std::uint64_t checkpoint_round_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  if (name.rfind("ckpt-", 0) != 0) {
-    return 0;
+/// The newest checkpoint of a directory whose snapshot container
+/// verifies, read whole.  A torn or rotten one falls back to the
+/// next-oldest; worst case none verifies and the job re-runs from round
+/// zero, still bit-identically.
+struct ReadableCheckpoint {
+  std::string path;  ///< empty when no checkpoint verifies
+  std::vector<std::uint8_t> bytes;
+  /// The newer checkpoints passed over, newest first.
+  std::vector<std::string> unreadable;
+};
+
+ReadableCheckpoint newest_readable_checkpoint(const std::string& directory) {
+  ReadableCheckpoint found;
+  const std::vector<std::string> checkpoints = list_checkpoints(directory);
+  for (auto ck = checkpoints.rbegin(); ck != checkpoints.rend(); ++ck) {
+    std::ifstream in(*ck, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string bytes = buffer.str();
+    try {
+      std::istringstream check(bytes);
+      (void)read_snapshot_container(check);
+    } catch (const std::exception&) {
+      found.unreadable.push_back(*ck);
+      continue;
+    }
+    found.path = *ck;
+    found.bytes.assign(bytes.begin(), bytes.end());
+    break;
   }
-  return std::strtoull(name.c_str() + 5, nullptr, 10);
+  return found;
 }
 
 /// Stream namespace names become spool directory names, so they are
@@ -269,10 +260,7 @@ void Daemon::tick() {
       if (job->state == JobState::kQueued) {
         job->state = JobState::kFailed;
         job->detail = "client deadline expired before the job started";
-        const auto pos = std::find(queue_.begin(), queue_.end(), job);
-        if (pos != queue_.end()) {
-          queue_.erase(pos);
-        }
+        dequeue_locked(job);
         ++metrics_.jobs_failed;
         ++metrics_.deadline_expired;
         mark_terminal_locked(job);
@@ -426,29 +414,12 @@ void Daemon::migrate_suspended_jobs() {
         m.origin_worker = worker_id();
         m.submit = job->request;
         if (!config_.spool_dir.empty()) {
-          // Newest checkpoint that decodes travels along; invalid ones
-          // fall back to the next-oldest, worst case a from-scratch
-          // re-run on the target (still bit-identical).
-          const std::vector<std::string> checkpoints =
-              list_checkpoints(ckpt_dir(job->fingerprint));
-          for (auto ck = checkpoints.rbegin(); ck != checkpoints.rend();
-               ++ck) {
-            std::ifstream in(*ck, std::ios::binary);
-            if (!in) {
-              continue;
-            }
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            const std::string bytes = buffer.str();
-            try {
-              std::istringstream check(bytes);
-              (void)read_snapshot_container(check);
-            } catch (const std::exception&) {
-              continue;
-            }
-            m.snapshot_round = checkpoint_round_of(*ck);
-            m.snapshot_bytes.assign(bytes.begin(), bytes.end());
-            break;
+          // The newest checkpoint that decodes travels along.
+          ReadableCheckpoint ck =
+              newest_readable_checkpoint(ckpt_dir(job->fingerprint));
+          if (!ck.path.empty()) {
+            m.snapshot_round = checkpoint_round_of(ck.path);
+            m.snapshot_bytes = std::move(ck.bytes);
           }
         }
         outgoing.push_back(std::move(m));
@@ -505,10 +476,7 @@ void Daemon::migrate_suspended_jobs() {
     // cluster-level double execution the coalescing map exists to stop.
     for (const auto& [id, job] : jobs_) {
       if (job->fingerprint == fp && job->state == JobState::kSuspended) {
-        if (journal_) {
-          journal_->append(SpoolJournal::Record::kTerminal, fp);
-        }
-        spool_remove_job(*job);
+        retire_job_locked(*job);
         break;
       }
     }
@@ -707,6 +675,29 @@ void Daemon::parse_submit(const SubmitRequest& request, Graph& graph,
   canonical.incremental = false;
 }
 
+std::shared_ptr<Daemon::Job> Daemon::reparse_canonical_submit(
+    const SubmitRequest& submit, std::uint64_t fingerprint) const {
+  auto job = std::make_shared<Job>();
+  parse_submit(submit, job->graph, job->digraph, job->options, job->request);
+  if (job->options.backend == BackendId::kAuto) {
+    // The origin resolved auto at its own admission; re-resolving under
+    // this worker's load could silently change the result family.
+    throw ProtocolError(ProtoError::kBadRequest,
+                        "submit must carry a resolved backend");
+  }
+  const std::uint64_t recomputed =
+      job->digraph.has_value() ? run_fingerprint(*job->digraph, job->options)
+                               : run_fingerprint(job->graph, job->options);
+  if (recomputed != fingerprint) {
+    throw ProtocolError(ProtoError::kBadRequest,
+                        "fingerprint mismatch (the submit does not describe "
+                        "its own payload)");
+  }
+  job->fingerprint = fingerprint;
+  job->submitted = std::chrono::steady_clock::now();
+  return job;
+}
+
 std::uint64_t Daemon::resolve_stream_submit(SubmitRequest& request) {
   if (!request.graph.empty() || request.source == GraphSource::kPath) {
     throw ProtocolError(ProtoError::kBadRequest,
@@ -848,17 +839,8 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
     return reply;
   }
   if (auto cached = cache_.get(fp)) {
-    auto job = std::make_shared<Job>();
-    job->id = next_job_id_++;
-    job->fingerprint = fp;
-    job->state = JobState::kDone;
-    job->result = std::move(cached);
-    job->from_cache = true;
-    job->submitted = std::chrono::steady_clock::now();
-    jobs_.emplace(job->id, job);
-    mark_terminal_locked(job);
     reply.disposition = SubmitDisposition::kCacheHit;
-    reply.job_id = job->id;
+    reply.job_id = add_done_job_locked(fp, std::move(cached));
     return reply;
   }
   if (const auto it = inflight_.find(fp); it != inflight_.end()) {
@@ -1050,6 +1032,31 @@ void Daemon::mark_terminal_locked(const std::shared_ptr<Job>& job) {
   terminal_order_.push_back(job->id);
 }
 
+std::uint64_t Daemon::add_done_job_locked(
+    std::uint64_t fingerprint, std::shared_ptr<const CachedResult> result) {
+  auto job = std::make_shared<Job>();
+  job->id = next_job_id_++;
+  job->fingerprint = fingerprint;
+  job->state = JobState::kDone;
+  job->result = std::move(result);
+  job->from_cache = true;
+  job->submitted = std::chrono::steady_clock::now();
+  jobs_.emplace(job->id, job);
+  mark_terminal_locked(job);
+  return job->id;
+}
+
+void Daemon::dequeue_locked(const std::shared_ptr<Job>& job) {
+  const auto pos = std::find(queue_.begin(), queue_.end(), job);
+  if (pos != queue_.end()) {
+    queue_.erase(pos);
+  }
+}
+
+/// Hard cap on retained terminal jobs — the oldest are collected first.
+/// Bounds daemon memory even under a flood of fire-and-forget submits.
+constexpr std::size_t kJobRetentionLimit = 1024;
+
 void Daemon::gc_jobs_locked(std::chrono::steady_clock::time_point now) {
   // terminal_order_ is completion-ordered, so the front is always the
   // next eviction candidate; one pass never revisits survivors.
@@ -1059,7 +1066,7 @@ void Daemon::gc_jobs_locked(std::chrono::steady_clock::time_point now) {
       terminal_order_.pop_front();
       continue;
     }
-    const bool over_cap = terminal_order_.size() > config_.job_retention_limit;
+    const bool over_cap = terminal_order_.size() > kJobRetentionLimit;
     bool expired = false;
     if (config_.job_retention_ms != 0) {
       const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -1155,10 +1162,7 @@ CancelReply Daemon::handle_cancel(std::uint64_t job_id) {
     case JobState::kQueued: {
       job->state = JobState::kCancelled;
       job->detail = "cancelled before start";
-      const auto pos = std::find(queue_.begin(), queue_.end(), job);
-      if (pos != queue_.end()) {
-        queue_.erase(pos);
-      }
+      dequeue_locked(job);
       inflight_.erase(job->fingerprint);
       ++metrics_.jobs_cancelled;
       mark_terminal_locked(job);
@@ -1194,35 +1198,15 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
   reply.fingerprint = request.fingerprint;
 
   // Validate before touching shared state, with the same distrust
-  // recover_spool applies to its own .req files: the inner canonical
-  // submit must parse, and its recomputed fingerprint must match the
-  // wire claim — a corrupt or forged transplant is rejected, never run
-  // (and never served) under the wrong identity.
-  Graph graph(0, {});
-  std::optional<Digraph> digraph;
-  DistributedBcOptions options;
-  SubmitRequest canonical;
+  // recover_spool applies to its own .req files — a corrupt or forged
+  // transplant is rejected, never run (and never served) under the wrong
+  // identity.
+  std::shared_ptr<Job> job;
   try {
-    parse_submit(request.submit, graph, digraph, options, canonical);
+    job = reparse_canonical_submit(request.submit, request.fingerprint);
   } catch (const std::exception& e) {
     reply.outcome = MigrateOutcome::kRejected;
     reply.detail = std::string("bad migrated submit: ") + e.what();
-    return reply;
-  }
-  if (options.backend == BackendId::kAuto) {
-    // The origin resolved auto at its own admission; re-resolving under
-    // this worker's load could silently change the result family.
-    reply.outcome = MigrateOutcome::kRejected;
-    reply.detail = "migrated submit must carry a resolved backend";
-    return reply;
-  }
-  const std::uint64_t recomputed = digraph.has_value()
-                                       ? run_fingerprint(*digraph, options)
-                                       : run_fingerprint(graph, options);
-  if (recomputed != request.fingerprint) {
-    reply.outcome = MigrateOutcome::kRejected;
-    reply.detail = "fingerprint mismatch (transplant does not describe "
-                   "its own payload)";
     return reply;
   }
 
@@ -1252,13 +1236,7 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
     const bool known = cache_.peek(request.fingerprint) != nullptr;
     if (!known) {
       cache_.put(request.fingerprint, cached);
-      if (!config_.spool_dir.empty()) {
-        try {
-          persist_cache_entry(request.fingerprint, *cached);
-        } catch (const std::exception&) {
-          // Warm-cache persistence stays best-effort.
-        }
-      }
+      persist_cache_entry(request.fingerprint, *cached);
     }
     // Either way the transplant arrived and is honored here — a done job
     // is synthesized below and the router repoints the origin's id at it
@@ -1267,18 +1245,10 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
     ++metrics_.migrated_in;
     // Synthesize a done job either way so the router can repoint the
     // origin's job id here and clients keep polling RESULT untouched.
-    auto job = std::make_shared<Job>();
-    job->id = next_job_id_++;
-    job->fingerprint = request.fingerprint;
-    job->state = JobState::kDone;
-    job->result = known ? cache_.get(request.fingerprint) : cached;
-    job->from_cache = true;
-    job->submitted = std::chrono::steady_clock::now();
-    jobs_.emplace(job->id, job);
-    mark_terminal_locked(job);
     reply.outcome =
         known ? MigrateOutcome::kCoalesced : MigrateOutcome::kAccepted;
-    reply.job_id = job->id;
+    reply.job_id = add_done_job_locked(
+        request.fingerprint, known ? cache_.get(request.fingerprint) : cached);
     return reply;
   }
 
@@ -1305,17 +1275,8 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
   if (auto cached = cache_.get(request.fingerprint)) {
     // This worker already finished identical work: serve it instead of
     // re-running (the migrated snapshot is moot).
-    auto job = std::make_shared<Job>();
-    job->id = next_job_id_++;
-    job->fingerprint = request.fingerprint;
-    job->state = JobState::kDone;
-    job->result = std::move(cached);
-    job->from_cache = true;
-    job->submitted = std::chrono::steady_clock::now();
-    jobs_.emplace(job->id, job);
-    mark_terminal_locked(job);
     reply.outcome = MigrateOutcome::kCoalesced;
-    reply.job_id = job->id;
+    reply.job_id = add_done_job_locked(request.fingerprint, std::move(cached));
     return reply;
   }
   if (const auto it = inflight_.find(request.fingerprint);
@@ -1331,37 +1292,25 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
     return reply;
   }
 
-  auto job = std::make_shared<Job>();
   job->id = next_job_id_++;
-  job->fingerprint = request.fingerprint;
-  job->request = std::move(canonical);
-  job->graph = std::move(graph);
-  job->digraph = std::move(digraph);
-  job->options = std::move(options);
-  job->submitted = std::chrono::steady_clock::now();
   if (!request.snapshot_bytes.empty() && !config_.spool_dir.empty()) {
     // Land the (already validated) container bytes in this worker's own
     // checkpoint directory, verbatim — the run then resumes from them
-    // exactly as it would from a local suspension checkpoint.  Written
-    // with the usual temp + rename discipline.  With no spool dir the
-    // job simply re-runs from round zero, which is still bit-identical.
+    // exactly as it would from a local suspension checkpoint.  With no
+    // spool dir, or when the write fails, the job simply re-runs from
+    // round zero, which is still bit-identical.
+    const std::string target =
+        (fs::path(ckpt_dir(request.fingerprint)) /
+         checkpoint_file_name(request.snapshot_round))
+            .string();
     try {
-      const fs::path dir(ckpt_dir(request.fingerprint));
-      fs::create_directories(dir);
-      const fs::path target = dir / checkpoint_file_name(request.snapshot_round);
-      const fs::path tmp = target.string() + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      write_file_atomic(target, [&request](std::ostream& out) {
         out.write(reinterpret_cast<const char*>(request.snapshot_bytes.data()),
                   static_cast<std::streamsize>(request.snapshot_bytes.size()));
-        if (!out) {
-          throw SnapshotError("cannot write " + tmp.string());
-        }
-      }
-      fs::rename(tmp, target);
-      job->resume_from = target.string();
+      });
+      job->resume_from = target;
     } catch (const std::exception&) {
-      job->resume_from.clear();  // degrade to a from-scratch re-run
+      // resume_from stays empty: a from-scratch re-run.
     }
   }
   ++metrics_.migrated_in;
@@ -1388,10 +1337,6 @@ LookupReply Daemon::handle_lookup(const LookupRequest& request) {
 // --------------------------------------------------------- execution
 
 void Daemon::execute_job(const std::shared_ptr<Job>& job) {
-  if (!job->stream_ns.empty()) {
-    execute_incremental_job(job);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (job->state != JobState::kQueued || draining_) {
@@ -1400,44 +1345,13 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
     job->state = JobState::kRunning;
     job->started = std::chrono::steady_clock::now();
     ++running_;
-    const auto pos = std::find(queue_.begin(), queue_.end(), job);
-    if (pos != queue_.end()) {
-      queue_.erase(pos);
-    }
+    dequeue_locked(job);
   }
 
-  DistributedBcOptions options = job->options;
-  options.halt_request = &job->halt;
-  // Only the simulator-engine backends speak the checkpoint protocol;
-  // cfp/directed reject those options loudly, and their runs are cheap
-  // enough that drain just suspends them at a source boundary.
-  const portfolio::BackendRegistry& registry =
-      portfolio::BackendRegistry::instance();
-  const portfolio::BcBackend* backend_impl = registry.find(options.backend);
-  const bool checkpointable =
-      backend_impl != nullptr && backend_impl->capabilities().simulator_engines;
-  if (!config_.spool_dir.empty() && checkpointable) {
-    options.checkpoint_dir = ckpt_dir(job->fingerprint);
-    options.checkpoint_every = config_.checkpoint_every;
-    options.checkpoint_keep_last = config_.checkpoint_keep;
-    options.resume_from = job->resume_from;
-  }
-
-  RunOutcome outcome;
-  try {
-    portfolio::BackendRequest breq;
-    if (job->digraph.has_value()) {
-      breq.digraph = &*job->digraph;
-    } else {
-      breq.graph = &job->graph;
-    }
-    breq.options = options;
-    outcome = portfolio::run_portfolio(breq);
-  } catch (const std::exception& e) {
-    outcome = RunOutcome{};
-    outcome.status = RunStatus::kError;
-    outcome.detail = e.what();
-  }
+  std::uint64_t dirty_sources = 0;
+  const RunOutcome outcome = job->stream_ns.empty()
+                                 ? run_backend(*job)
+                                 : run_maintainer(*job, dirty_sources);
 
   // Encode outside the lock — blocks can be large.
   const ResultBlock block = outcome_to_block(outcome);
@@ -1464,117 +1378,107 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
           std::chrono::steady_clock::now() - job->submitted)
           .count();
   inflight_.erase(job->fingerprint);
+  metrics_.dirty_sources_rerun += dirty_sources;
   // Partial runs carry a (truncated) profile too — useful for debugging
   // a cancelled or over-budget job.
   job->phase_timeline =
       obs::format_phase_timeline(outcome.result.phase_profile);
 
-  if (outcome.status == RunStatus::kSuspended) {
-    if (job->cancel_requested) {
-      job->state = JobState::kCancelled;
-      job->detail = "cancelled while running";
-      ++metrics_.jobs_cancelled;
-      mark_terminal_locked(job);
-      retire_job_locked(*job);
+  const bool halted = outcome.status == RunStatus::kSuspended;
+  if (halted && !job->cancel_requested && !job->budget_exceeded &&
+      !job->deadline_exceeded) {
+    // Drain suspension: the run just wrote its boundary checkpoint (when
+    // a spool is configured); the spool entry stays for the restart.
+    job->state = JobState::kSuspended;
+    job->detail = config_.spool_dir.empty()
+                      ? "suspended by drain (no spool directory; resubmit "
+                        "after restart)"
+                      : "suspended by drain; checkpointed for restart";
+    ++metrics_.jobs_suspended;
+    wake();
+    return;
+  }
+  if (halted && job->cancel_requested) {
+    job->state = JobState::kCancelled;
+    job->detail = "cancelled while running";
+    ++metrics_.jobs_cancelled;
+  } else if (outcome.status == RunStatus::kComplete && block_servable) {
+    job->state = JobState::kDone;
+    job->detail = outcome.detail;  // a stream job's dirty/clean summary
+    job->result = servable;
+    cache_.put(job->fingerprint, servable);
+    ++metrics_.jobs_completed;
+    persist_cache_entry(job->fingerprint, *servable);
+  } else if (outcome.status == RunStatus::kComplete) {
+    job->state = JobState::kFailed;
+    job->detail = unservable_detail;
+    ++metrics_.jobs_failed;
+  } else {
+    // Over budget, past the client deadline, or broken: the partial
+    // harvest is served (degraded serving) but never cached.
+    job->state = JobState::kFailed;
+    if (!halted) {
+      job->detail = outcome.detail.empty() ? to_string(outcome.status)
+                                           : outcome.detail;
     } else if (job->budget_exceeded) {
-      job->state = JobState::kFailed;
       job->detail = "wall-clock budget exceeded (" +
                     std::to_string(config_.job_time_budget_ms) + " ms)";
-      if (block_servable) {
-        job->result = servable;  // partial harvest, served but never cached
-      } else {
-        job->detail += "; " + unservable_detail;
-      }
-      ++metrics_.jobs_failed;
-      metrics_.record_latency_ms(latency_ms);
-      metrics_.record_job_rounds(outcome.result.rounds, latency_ms);
-      mark_terminal_locked(job);
-      retire_job_locked(*job);
-    } else if (job->deadline_exceeded) {
-      job->state = JobState::kFailed;
+    } else {
       job->detail = "client deadline expired while the job ran";
-      if (block_servable) {
-        job->result = servable;  // partial harvest, served but never cached
-      } else {
-        job->detail += "; " + unservable_detail;
-      }
-      ++metrics_.jobs_failed;
       ++metrics_.deadline_expired;
-      metrics_.record_latency_ms(latency_ms);
-      metrics_.record_job_rounds(outcome.result.rounds, latency_ms);
-      mark_terminal_locked(job);
-      retire_job_locked(*job);
-    } else {
-      // Drain suspension: the run just wrote its boundary checkpoint (when
-      // a spool is configured); the spool entry stays for the restart.
-      job->state = JobState::kSuspended;
-      job->detail = config_.spool_dir.empty()
-                        ? "suspended by drain (no spool directory; resubmit "
-                          "after restart)"
-                        : "suspended by drain; checkpointed for restart";
-      ++metrics_.jobs_suspended;
     }
-  } else if (outcome.status == RunStatus::kComplete) {
     if (block_servable) {
-      job->state = JobState::kDone;
       job->result = servable;
-      cache_.put(job->fingerprint, servable);
-      ++metrics_.jobs_completed;
-    } else {
-      job->state = JobState::kFailed;
-      job->detail = unservable_detail;
-      ++metrics_.jobs_failed;
-    }
-    metrics_.record_latency_ms(latency_ms);
-    metrics_.record_job_rounds(outcome.result.rounds, latency_ms);
-    mark_terminal_locked(job);
-    if (!config_.spool_dir.empty()) {
-      if (job->state == JobState::kDone) {
-        try {
-          persist_cache_entry(job->fingerprint, *servable);
-        } catch (const std::exception&) {
-          // Warm-cache persistence is best-effort.
-        }
-      }
-      if (journal_) {
-        journal_->append(SpoolJournal::Record::kTerminal, job->fingerprint);
-      }
-      spool_remove_job(*job);
-    }
-  } else {
-    job->state = JobState::kFailed;
-    job->detail = outcome.detail.empty() ? to_string(outcome.status)
-                                         : outcome.detail;
-    if (block_servable) {
-      job->result = servable;  // partial harvest (degraded serving)
     } else {
       job->detail += "; " + unservable_detail;
     }
     ++metrics_.jobs_failed;
+  }
+  if (job->state != JobState::kCancelled) {
     metrics_.record_latency_ms(latency_ms);
     metrics_.record_job_rounds(outcome.result.rounds, latency_ms);
-    mark_terminal_locked(job);
-    retire_job_locked(*job);
   }
+  mark_terminal_locked(job);
+  retire_job_locked(*job);
   // Nudge the poll loop so a drain waiting on running_ notices promptly.
   wake();
 }
 
-void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job->state != JobState::kQueued || draining_) {
-      return;
-    }
-    job->state = JobState::kRunning;
-    job->started = std::chrono::steady_clock::now();
-    ++running_;
-    const auto pos = std::find(queue_.begin(), queue_.end(), job);
-    if (pos != queue_.end()) {
-      queue_.erase(pos);
-    }
+RunOutcome Daemon::run_backend(const Job& job) const {
+  DistributedBcOptions options = job.options;
+  options.halt_request = &job.halt;
+  // Only the simulator-engine backends speak the checkpoint protocol;
+  // cfp/directed reject those options loudly, and their runs are cheap
+  // enough that drain just suspends them at a source boundary.
+  const portfolio::BcBackend* backend_impl =
+      portfolio::BackendRegistry::instance().find(options.backend);
+  const bool checkpointable =
+      backend_impl != nullptr && backend_impl->capabilities().simulator_engines;
+  if (!config_.spool_dir.empty() && checkpointable) {
+    options.checkpoint_dir = ckpt_dir(job.fingerprint);
+    options.checkpoint_every = config_.checkpoint_every;
+    options.checkpoint_keep_last = config_.checkpoint_keep;
+    options.resume_from = job.resume_from;
   }
+  try {
+    portfolio::BackendRequest breq;
+    if (job.digraph.has_value()) {
+      breq.digraph = &*job.digraph;
+    } else {
+      breq.graph = &job.graph;
+    }
+    breq.options = options;
+    return portfolio::run_portfolio(breq);
+  } catch (const std::exception& e) {
+    RunOutcome outcome;
+    outcome.status = RunStatus::kError;
+    outcome.detail = e.what();
+    return outcome;
+  }
+}
 
+RunOutcome Daemon::run_maintainer(const Job& job,
+                                  std::uint64_t& dirty_sources) {
   // Check the namespace's maintainer out and collect the canonical
   // deltas between its version and the job's target.  A missing,
   // checked-out, or option-incompatible maintainer means a cold start
@@ -1584,16 +1488,16 @@ void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
   std::vector<GraphDeltaOp> pending;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = streams_.find(job->stream_ns);
+    const auto it = streams_.find(job.stream_ns);
     if (it != streams_.end()) {
       StreamNamespace& s = it->second;
-      if (s.maintainer && s.maintainer_version <= job->stream_version &&
-          s.graph->version() >= job->stream_version) {
+      if (s.maintainer && s.maintainer_version <= job.stream_version &&
+          s.graph->version() >= job.stream_version) {
         const stream::IncrementalBcConfig& c = s.maintainer->config();
-        if (c.halve == job->options.halve &&
-            c.max_rounds == job->options.max_rounds) {
+        if (c.halve == job.options.halve &&
+            c.max_rounds == job.options.max_rounds) {
           for (std::uint64_t v = s.maintainer_version + 1;
-               v <= job->stream_version; ++v) {
+               v <= job.stream_version; ++v) {
             const std::vector<GraphDeltaOp>& d = s.graph->delta(v);
             pending.insert(pending.end(), d.begin(), d.end());
           }
@@ -1603,96 +1507,50 @@ void Daemon::execute_incremental_job(const std::shared_ptr<Job>& job) {
     }
   }
 
-  stream::IncrementalApplyStats stats;
-  std::string detail;
-  bool failed = false;
+  RunOutcome outcome;
+  const std::string at =
+      "incremental@v" + std::to_string(job.stream_version) + ": ";
   try {
     if (maintainer) {
-      stats = maintainer->apply(job->graph, pending);
-      detail = "incremental@v" + std::to_string(job->stream_version) + ": " +
-               std::to_string(stats.dirty_sources) + " dirty / " +
-               std::to_string(stats.clean_sources) + " clean";
+      const stream::IncrementalApplyStats stats =
+          maintainer->apply(job.graph, pending);
+      dirty_sources = stats.dirty_sources;
+      outcome.detail = at + std::to_string(stats.dirty_sources) +
+                       " dirty / " + std::to_string(stats.clean_sources) +
+                       " clean";
     } else {
       stream::IncrementalBcConfig cfg;
-      cfg.halve = job->options.halve;
-      cfg.max_rounds = job->options.max_rounds;
-      cfg.threads = job->options.threads;
-      maintainer = std::make_unique<stream::IncrementalBc>(job->graph, cfg);
-      stats.dirty_sources = maintainer->sources().size();
-      detail = "incremental@v" + std::to_string(job->stream_version) +
-               ": full build (" + std::to_string(stats.dirty_sources) +
-               " sources)";
+      cfg.halve = job.options.halve;
+      cfg.max_rounds = job.options.max_rounds;
+      cfg.threads = job.options.threads;
+      maintainer = std::make_unique<stream::IncrementalBc>(job.graph, cfg);
+      dirty_sources = maintainer->sources().size();
+      outcome.detail = at + "full build (" + std::to_string(dirty_sources) +
+                       " sources)";
     }
   } catch (const std::exception& e) {
-    failed = true;
-    detail = std::string("incremental run failed: ") + e.what();
-    maintainer.reset();
+    outcome.status = RunStatus::kError;
+    outcome.detail = std::string("incremental run failed: ") + e.what();
+    return outcome;
   }
+  const stream::MaintainedScores& scores = maintainer->scores();
+  outcome.result.rounds = scores.rounds;
+  outcome.result.diameter = scores.diameter;
+  outcome.result.betweenness = scores.betweenness;
+  outcome.result.closeness = scores.closeness;
+  outcome.result.graph_centrality = scores.graph_centrality;
+  outcome.result.stress = scores.stress;
+  outcome.result.eccentricities = scores.eccentricities;
 
-  // Encode outside the lock, mirroring execute_job.
-  ResultBlock block;
-  block.detail = detail;
-  if (failed) {
-    block.run_status = static_cast<std::uint8_t>(RunStatus::kError);
-  } else {
-    const stream::MaintainedScores& scores = maintainer->scores();
-    block.run_status = static_cast<std::uint8_t>(RunStatus::kComplete);
-    block.rounds = scores.rounds;
-    block.diameter = scores.diameter;
-    block.betweenness = scores.betweenness;
-    block.closeness = scores.closeness;
-    block.graph_centrality = scores.graph_centrality;
-    block.stress = scores.stress;
-    block.eccentricities = scores.eccentricities;
-  }
-  const BitWriter encoded = encode_result_block(block);
-  auto servable = std::make_shared<CachedResult>();
-  servable->block_bytes = encoded.bytes();
-  servable->block_bits = encoded.bit_size();
-  servable->run_status = block.run_status;
-  const bool block_servable = encoded.bit_size() <= kMaxServableBlockBits;
-
+  // Check the maintainer back in unless a concurrent job already
+  // installed one.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (running_ > 0) {
-    --running_;
+  const auto it = streams_.find(job.stream_ns);
+  if (it != streams_.end() && !it->second.maintainer) {
+    it->second.maintainer = std::move(maintainer);
+    it->second.maintainer_version = job.stream_version;
   }
-  const double latency_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-          std::chrono::steady_clock::now() - job->submitted)
-          .count();
-  inflight_.erase(job->fingerprint);
-  metrics_.dirty_sources_rerun += stats.dirty_sources;
-  if (maintainer) {
-    // Check the maintainer back in unless a concurrent job already
-    // installed one.
-    const auto it = streams_.find(job->stream_ns);
-    if (it != streams_.end() && !it->second.maintainer) {
-      it->second.maintainer = std::move(maintainer);
-      it->second.maintainer_version = job->stream_version;
-    }
-  }
-  if (!failed && block_servable) {
-    job->state = JobState::kDone;
-    job->detail = detail;
-    job->result = servable;
-    cache_.put(job->fingerprint, servable);
-    ++metrics_.jobs_completed;
-    if (!config_.spool_dir.empty()) {
-      try {
-        persist_cache_entry(job->fingerprint, *servable);
-      } catch (const std::exception&) {
-        // Warm-cache persistence is best-effort.
-      }
-    }
-  } else {
-    job->state = JobState::kFailed;
-    job->detail = failed ? detail : "incremental result exceeds the frame cap";
-    ++metrics_.jobs_failed;
-  }
-  metrics_.record_latency_ms(latency_ms);
-  metrics_.record_job_rounds(block.rounds, latency_ms);
-  mark_terminal_locked(job);
-  wake();
+  return outcome;
 }
 
 // ------------------------------------------------------- persistence
@@ -1744,8 +1602,9 @@ void Daemon::spool_write_job(const Job& job) const {
   const BitWriter request = encode_request(make_submit(job.request));
   snap::put_bits(payload, request.data(), request.bit_size());
   write_file_atomic(
-      fs::path(jobs_dir()) / ("job-" + fingerprint_hex(job.fingerprint) + ".req"),
-      payload);
+      (fs::path(jobs_dir()) / ("job-" + fingerprint_hex(job.fingerprint) + ".req"))
+          .string(),
+      [&payload](std::ostream& out) { write_snapshot_container(out, payload); });
 }
 
 void Daemon::spool_remove_job(const Job& job) const {
@@ -1758,15 +1617,23 @@ void Daemon::spool_remove_job(const Job& job) const {
 
 void Daemon::persist_cache_entry(std::uint64_t fingerprint,
                                  const CachedResult& result) const {
+  if (config_.spool_dir.empty()) {
+    return;
+  }
   BitWriter payload;
   payload.write_varuint(kSpoolVersion);
   snap::put_u64(payload, fingerprint);
   snap::put_u64(payload, result.run_status);
   snap::put_bits(payload, result.block_bytes.data(),
                  static_cast<std::size_t>(result.block_bits));
-  write_file_atomic(
-      fs::path(cache_dir()) / ("res-" + fingerprint_hex(fingerprint) + ".res"),
-      payload);
+  try {
+    write_file_atomic(
+        (fs::path(cache_dir()) / ("res-" + fingerprint_hex(fingerprint) + ".res"))
+            .string(),
+        [&payload](std::ostream& out) { write_snapshot_container(out, payload); });
+  } catch (const std::exception&) {
+    // Warm-cache persistence is best-effort.
+  }
 }
 
 void Daemon::remove_cache_entry(std::uint64_t fingerprint) const {
@@ -1789,14 +1656,13 @@ void Daemon::persist_stream_version(const std::string& ns,
   }
   const stream::VersionedGraph& vg = *state.graph;
   try {
-    const fs::path dir(stream_dir(ns));
-    if (vg.version() == 0) {
-      write_text_atomic(dir / "base.txt", write_edge_list_text(vg.head()));
-    } else {
-      write_text_atomic(
-          dir / ("mut-" + std::to_string(vg.version()) + ".txt"),
-          format_stream_batch(vg.delta(vg.version())));
-    }
+    const bool base = vg.version() == 0;
+    const std::string text = base ? write_edge_list_text(vg.head())
+                                  : format_stream_batch(vg.delta(vg.version()));
+    const std::string name =
+        base ? "base.txt" : "mut-" + std::to_string(vg.version()) + ".txt";
+    write_file_atomic((fs::path(stream_dir(ns)) / name).string(),
+                      [&text](std::ostream& out) { out << text; });
     // Journal after the file: the record is the commit marker.
     if (journal_) {
       journal_->append(SpoolJournal::Record::kMutate, vg.fingerprint());
@@ -1897,20 +1763,17 @@ std::vector<std::uint64_t> Daemon::recover_streams(
 
 void Daemon::flush_cache_index_locked() const {
   const std::vector<std::uint64_t> keys = cache_.keys_lru_order();
-  std::error_code ec;
-  fs::create_directories(cache_dir(), ec);
-  const fs::path index = fs::path(cache_dir()) / "index.txt";
-  const fs::path tmp = fs::path(cache_dir()) / "index.txt.tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    for (const std::uint64_t fp : keys) {
-      out << fingerprint_hex(fp) << "\n";
-    }
-    if (!out) {
-      return;  // best-effort
-    }
+  try {
+    write_file_atomic((fs::path(cache_dir()) / "index.txt").string(),
+                      [&keys](std::ostream& out) {
+                        for (const std::uint64_t fp : keys) {
+                          out << fingerprint_hex(fp) << "\n";
+                        }
+                      });
+  } catch (const std::exception&) {
+    return;  // best-effort
   }
-  fs::rename(tmp, index, ec);
+  std::error_code ec;
   // Prune result files the in-memory LRU evicted, so the restarted cache
   // matches the drained one.
   std::unordered_set<std::string> keep;
@@ -2057,53 +1920,24 @@ void Daemon::recover_spool() {
         quarantine_path(entry.path().string());
         continue;
       }
-      Graph graph(0, {});
-      std::optional<Digraph> digraph;
-      DistributedBcOptions options;
-      SubmitRequest canonical;
-      parse_submit(request.submit, graph, digraph, options, canonical);
-      const std::uint64_t recomputed = digraph.has_value()
-                                           ? run_fingerprint(*digraph, options)
-                                           : run_fingerprint(graph, options);
-      if (recomputed != fp) {
-        quarantine_path(entry.path().string());  // stale or corrupted entry
-        continue;
-      }
+      // A stale or corrupted entry throws here and is quarantined below.
+      const std::shared_ptr<Job> job =
+          reparse_canonical_submit(request.submit, fp);
+      // Workers are already finishing the jobs re-admitted before this
+      // one, so the cache is read under the scheduler lock.
+      std::lock_guard<std::mutex> lock(mutex_);
       if (cache_.peek(fp) != nullptr) {
         // Finished before the previous daemon exited; nothing to resume.
         fs::remove(entry.path(), ec);
         fs::remove_all(ckpt_dir(fp), ec);
         continue;
       }
-      auto job = std::make_shared<Job>();
-      job->fingerprint = fp;
-      job->request = std::move(canonical);
-      job->graph = std::move(graph);
-      job->digraph = std::move(digraph);
-      job->options = std::move(options);
-      job->submitted = std::chrono::steady_clock::now();
-      // Newest checkpoint that actually decodes; corrupt ones (torn
-      // writes, bit rot) are quarantined and the scan falls back to the
-      // next-oldest — worst case the job restarts from round zero.
-      const std::vector<std::string> checkpoints =
-          list_checkpoints(ckpt_dir(fp));
-      for (auto ck = checkpoints.rbegin(); ck != checkpoints.rend(); ++ck) {
-        bool valid = false;
-        std::ifstream ckin(*ck, std::ios::binary);
-        if (ckin) {
-          try {
-            (void)read_snapshot_container(ckin);
-            valid = true;
-          } catch (const std::exception&) {
-          }
-        }
-        if (valid) {
-          job->resume_from = *ck;
-          break;
-        }
-        quarantine_path(*ck);
+      // Corrupt checkpoints (torn writes, bit rot) are quarantined.
+      const ReadableCheckpoint ck = newest_readable_checkpoint(ckpt_dir(fp));
+      for (const std::string& bad : ck.unreadable) {
+        quarantine_path(bad);
       }
-      std::lock_guard<std::mutex> lock(mutex_);
+      job->resume_from = ck.path;
       job->id = next_job_id_++;
       ++metrics_.jobs_resumed;
       admit_locked(job);
@@ -2116,20 +1950,8 @@ void Daemon::recover_spool() {
 void Daemon::dump_metrics() {
   try {
     const std::string json = to_json(stats());
-    const fs::path target(config_.metrics_path);
-    const fs::path tmp = config_.metrics_path + ".tmp";
-    if (target.has_parent_path()) {
-      fs::create_directories(target.parent_path());
-    }
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << json << "\n";
-      if (!out) {
-        return;
-      }
-    }
-    std::error_code ec;
-    fs::rename(tmp, target, ec);
+    write_file_atomic(config_.metrics_path,
+                      [&json](std::ostream& out) { out << json << "\n"; });
   } catch (const std::exception&) {
     // Metrics are best-effort observability; never take the daemon down.
   }

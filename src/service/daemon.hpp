@@ -9,7 +9,8 @@
 //                      │ fingerprint coalescing
 //                      ▼
 //                    WorkerPool (core/thread_pool.hpp)
-//                      │ run_bc_with_watchdog + checkpoint policy
+//                      │ execute_job: run_portfolio + checkpoint policy,
+//                      │ or a stream namespace's incremental maintainer
 //                      ▼
 //                    LRU result cache (service/cache.hpp)
 //
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "algo/bc_pipeline.hpp"
+#include "core/runner.hpp"
 #include "core/thread_pool.hpp"
 #include "graph/digraph.hpp"
 #include "graph/graph.hpp"
@@ -94,11 +96,8 @@ struct DaemonConfig {
   std::uint64_t metrics_every_ms = 1000;
   /// How long a terminal job (done/failed/cancelled) stays addressable by
   /// STATUS/RESULT before it is garbage-collected and answers kUnknown.
-  /// 0 = no time limit (job_retention_limit still applies).
+  /// 0 = no time limit (the retained-job cap still applies).
   std::uint64_t job_retention_ms = 300'000;
-  /// Hard cap on retained terminal jobs — the oldest are collected first.
-  /// Bounds daemon memory even under a flood of fire-and-forget submits.
-  std::size_t job_retention_limit = 1024;
   /// Write-side backpressure: once a session has this many un-flushed
   /// reply bytes, the daemon stops reading and processing its requests
   /// until the backlog drains.  Worst-case buffered output per session is
@@ -184,9 +183,9 @@ class Daemon final : public FrameServer {
     /// erases exactly these (targeted invalidation, not a flush).
     std::unordered_set<std::uint64_t> live_cache_fps;
     /// Incremental maintainer, built lazily by the first incremental
-    /// submit.  Null while checked out by a worker (see
-    /// execute_incremental_job) — a concurrent incremental job for the
-    /// same namespace then cold-starts its own rather than waiting.
+    /// submit.  Null while checked out by a worker (see run_maintainer)
+    /// — a concurrent incremental job for the same namespace then
+    /// cold-starts its own rather than waiting.
     std::unique_ptr<stream::IncrementalBc> maintainer;
     /// The stream version maintainer's summaries describe.
     std::uint64_t maintainer_version = 0;
@@ -222,6 +221,14 @@ class Daemon final : public FrameServer {
                     DistributedBcOptions& options,
                     SubmitRequest& canonical) const;
 
+  /// Rebuilds a queued job from a canonical submit that comes back from
+  /// outside memory — a spooled .req or a MIGRATE transplant — and checks
+  /// that it still describes `fingerprint`.  Throws with the reason when
+  /// the submit does not parse, leaves backend=auto unresolved, or
+  /// fingerprints differently.
+  std::shared_ptr<Job> reparse_canonical_submit(const SubmitRequest& submit,
+                                                std::uint64_t fingerprint) const;
+
   /// Resolves a stream-addressed submit (stream_ns set) into an inline
   /// one: materializes the addressed version under mutex_ and rewrites
   /// request.graph with its edge-list text.  Returns the resolved
@@ -230,13 +237,24 @@ class Daemon final : public FrameServer {
   std::uint64_t resolve_stream_submit(SubmitRequest& request);
 
   // --- execution (worker threads) ---
+  /// Where every job runs and finishes: claim, run step, encode, then
+  /// cache/persist, metrics and the terminal (or suspended) state.
   void execute_job(const std::shared_ptr<Job>& job);
-  /// Serves an incremental submit from the namespace's maintainer:
-  /// checks the maintainer out under mutex_, advances it over the
-  /// pending deltas (or cold-starts at the target version), assembles,
-  /// caches under the job's tagged fingerprint, and checks it back in.
-  void execute_incremental_job(const std::shared_ptr<Job>& job);
+  /// Run step of a backend job: portfolio::run_portfolio under the job's
+  /// halt flag, checkpointed into the spool when the backend can be.
+  RunOutcome run_backend(const Job& job) const;
+  /// Run step of an incremental (stream) job: checks the namespace's
+  /// maintainer out under mutex_, advances it over the pending deltas (or
+  /// cold-starts at the target version), and checks it back in.  Never
+  /// halts.  `dirty_sources` is set to the number of sources it re-ran.
+  RunOutcome run_maintainer(const Job& job, std::uint64_t& dirty_sources);
   void admit_locked(const std::shared_ptr<Job>& job);
+  /// Takes a job off the admission queue if it is still there.
+  void dequeue_locked(const std::shared_ptr<Job>& job);
+  /// Registers a job that is done on arrival — served from the result
+  /// cache or a transplanted block — and returns its id.
+  std::uint64_t add_done_job_locked(std::uint64_t fingerprint,
+                                    std::shared_ptr<const CachedResult> result);
   /// Stamps the terminal clock and enrolls the job for retention GC.
   void mark_terminal_locked(const std::shared_ptr<Job>& job);
   /// Evicts terminal jobs past the retention TTL or count cap; evicted
@@ -262,7 +280,8 @@ class Daemon final : public FrameServer {
   std::string quarantine_dir() const;
   void spool_write_job(const Job& job) const;
   void spool_remove_job(const Job& job) const;
-  /// Journals the terminal transition, then removes the spool entry.
+  /// Journals the terminal transition, then removes the spool entry (a
+  /// no-op without a spool and for stream jobs, which are never spooled).
   /// The order is the crash-safety invariant: a kill -9 between the two
   /// leaves a stale .req that recovery recognizes (terminal record) and
   /// removes instead of re-running.
@@ -271,6 +290,8 @@ class Daemon final : public FrameServer {
   /// <spool>/quarantine/ and counts it — startup never trusts, deletes,
   /// or dies on bad state.
   void quarantine_path(const std::string& path);
+  /// Writes a result-cache entry into the spool, when there is one.
+  /// Best-effort: a failed write only costs the entry its warm restart.
   void persist_cache_entry(std::uint64_t fingerprint,
                            const CachedResult& result) const;
   void remove_cache_entry(std::uint64_t fingerprint) const;

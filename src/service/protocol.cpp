@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "algo/bc_pipeline.hpp"
 #include "common/assert.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -54,6 +55,17 @@ std::uint64_t get_count(BitReader& r, std::uint64_t min_bits_each) {
                             " exceeds the remaining payload");
   }
   return count;
+}
+
+/// The highest backend id a frame may carry.
+constexpr auto kLastBackend = static_cast<std::uint64_t>(BackendId::kSampled);
+
+std::uint8_t checked_backend(std::uint64_t raw) {
+  if (raw > kLastBackend) {
+    throw ProtocolError(ProtoError::kMalformed,
+                        "unknown backend " + std::to_string(raw));
+  }
+  return static_cast<std::uint8_t>(raw);
 }
 
 void put_type(BitWriter& w, MsgType type) {
@@ -113,12 +125,7 @@ SubmitRequest decode_submit_body(BitReader& r) {
   s.stream_ns = get_string(r);
   s.stream_version = r.read_varuint();
   s.incremental = r.read_bool();
-  const std::uint64_t backend = r.read_varuint();
-  if (backend > 4) {  // last BackendId (kSampled)
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown backend " + std::to_string(backend));
-  }
-  s.backend = static_cast<std::uint8_t>(backend);
+  s.backend = checked_backend(r.read_varuint());
   const std::uint64_t samples = r.read_varuint();
   if (samples > UINT32_MAX) {
     throw ProtocolError(ProtoError::kMalformed,
@@ -154,6 +161,36 @@ std::vector<std::uint8_t> get_bytes(BitReader& r) {
   return bytes;
 }
 
+/// An encoded result block (RESULT, LOOKUP and MIGRATE carry one):
+/// varuint bit length + exactly that many bits, no byte padding.
+void put_block(BitWriter& w, const std::vector<std::uint8_t>& bytes,
+               std::uint64_t bits) {
+  w.write_varuint(bits);
+  w.append(bytes.data(), static_cast<std::size_t>(bits));
+}
+
+/// Reads a put_block field into `bytes` and returns its bit length; the
+/// length is checked against the payload before anything is allocated.
+/// `what` names the carrying message in the error.
+std::uint64_t get_block(BitReader& r, std::vector<std::uint8_t>& bytes,
+                        const char* what) {
+  const std::uint64_t bits = r.read_varuint();
+  if (bits > r.remaining()) {
+    throw ProtocolError(ProtoError::kMalformed,
+                        std::string(what) +
+                            " block length exceeds the payload");
+  }
+  bytes.assign((static_cast<std::size_t>(bits) + 7) / 8, 0);
+  std::uint64_t left = bits;
+  std::size_t byte = 0;
+  while (left > 0) {
+    const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
+    bytes[byte++] = static_cast<std::uint8_t>(r.read(chunk));
+    left -= chunk;
+  }
+  return bits;
+}
+
 void encode_join_body(BitWriter& w, const JoinRequest& j) {
   put_string(w, j.worker_id);
   put_string(w, j.host);
@@ -181,10 +218,7 @@ void encode_migrate_body(BitWriter& w, const MigrateRequest& m) {
   encode_submit_body(w, m.submit);
   w.write_varuint(m.snapshot_round);
   put_bytes(w, m.snapshot_bytes);
-  w.write_varuint(m.block_bits);
-  if (m.block_bits > 0) {
-    w.append(m.block_bytes.data(), static_cast<std::size_t>(m.block_bits));
-  }
+  put_block(w, m.block_bytes, m.block_bits);
 }
 
 MigrateRequest decode_migrate_body(BitReader& r) {
@@ -201,19 +235,7 @@ MigrateRequest decode_migrate_body(BitReader& r) {
   m.submit = decode_submit_body(r);
   m.snapshot_round = r.read_varuint();
   m.snapshot_bytes = get_bytes(r);
-  m.block_bits = r.read_varuint();
-  if (m.block_bits > r.remaining()) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "migrated block length exceeds the payload");
-  }
-  m.block_bytes.assign((static_cast<std::size_t>(m.block_bits) + 7) / 8, 0);
-  std::uint64_t left = m.block_bits;
-  std::size_t byte = 0;
-  while (left > 0) {
-    const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
-    m.block_bytes[byte++] = static_cast<std::uint8_t>(r.read(chunk));
-    left -= chunk;
-  }
+  m.block_bits = get_block(r, m.block_bytes, "migrated");
   return m;
 }
 
@@ -241,8 +263,7 @@ void encode_lookup_reply_body(BitWriter& w, const LookupReply& m) {
   w.write_bool(m.found);
   w.write(m.fingerprint, 64);
   if (m.found) {
-    w.write_varuint(m.block_bits);
-    w.append(m.block_bytes.data(), static_cast<std::size_t>(m.block_bits));
+    put_block(w, m.block_bytes, m.block_bits);
   }
 }
 
@@ -251,19 +272,7 @@ LookupReply decode_lookup_reply_body(BitReader& r) {
   m.found = r.read_bool();
   m.fingerprint = r.read(64);
   if (m.found) {
-    m.block_bits = r.read_varuint();
-    if (m.block_bits > r.remaining()) {
-      throw ProtocolError(ProtoError::kMalformed,
-                          "lookup block length exceeds the payload");
-    }
-    m.block_bytes.assign((static_cast<std::size_t>(m.block_bits) + 7) / 8, 0);
-    std::uint64_t left = m.block_bits;
-    std::size_t byte = 0;
-    while (left > 0) {
-      const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
-      m.block_bytes[byte++] = static_cast<std::uint8_t>(r.read(chunk));
-      left -= chunk;
-    }
+    m.block_bits = get_block(r, m.block_bytes, "lookup");
   }
   return m;
 }
@@ -354,12 +363,7 @@ SubmitReply decode_submit_reply_body(BitReader& r) {
   m.job_id = r.read_varuint();
   m.fingerprint = r.read(64);
   m.detail = get_string(r);
-  const std::uint64_t backend = r.read_varuint();
-  if (backend > 4) {  // last BackendId (kSampled)
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown backend " + std::to_string(backend));
-  }
-  m.backend = static_cast<std::uint8_t>(backend);
+  m.backend = checked_backend(r.read_varuint());
   m.downgraded = r.read_bool();
   return m;
 }
@@ -398,8 +402,7 @@ void encode_result_reply_body(BitWriter& w, const ResultReply& m) {
   w.write(m.fingerprint, 64);
   put_string(w, m.detail);
   if (m.ready) {
-    w.write_varuint(m.block_bits);
-    w.append(m.block_bytes.data(), static_cast<std::size_t>(m.block_bits));
+    put_block(w, m.block_bytes, m.block_bits);
   }
 }
 
@@ -411,19 +414,7 @@ ResultReply decode_result_reply_body(BitReader& r) {
   m.fingerprint = r.read(64);
   m.detail = get_string(r);
   if (m.ready) {
-    m.block_bits = r.read_varuint();
-    if (m.block_bits > r.remaining()) {
-      throw ProtocolError(ProtoError::kMalformed,
-                          "result block length exceeds the payload");
-    }
-    m.block_bytes.assign((static_cast<std::size_t>(m.block_bits) + 7) / 8, 0);
-    std::uint64_t left = m.block_bits;
-    std::size_t byte = 0;
-    while (left > 0) {
-      const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
-      m.block_bytes[byte++] = static_cast<std::uint8_t>(r.read(chunk));
-      left -= chunk;
-    }
+    m.block_bits = get_block(r, m.block_bytes, "result");
   }
   return m;
 }

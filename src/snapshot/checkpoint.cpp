@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -43,47 +44,63 @@ std::string checkpoint_file_name(std::uint64_t round) {
   return buf;
 }
 
+std::uint64_t checkpoint_round_of(const std::string& path) {
+  const std::string name = fs::path(path).filename().string();
+  if (!is_checkpoint_name(name)) {
+    return 0;
+  }
+  return std::strtoull(name.c_str() + sizeof(kPrefix) - 1, nullptr, 10);
+}
+
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write) {
+  const fs::path target(path);
+  std::error_code ec;
+  if (target.has_parent_path()) {
+    fs::create_directories(target.parent_path(), ec);
+    if (ec) {
+      throw SnapshotError("cannot create directory " +
+                          target.parent_path().string() + ": " +
+                          ec.message());
+    }
+  }
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (out.good()) {
+      write(out);
+      out.flush();
+    }
+    if (!out.good()) {
+      throw SnapshotError("cannot write " + tmp);
+    }
+  }
+  fs::rename(tmp, target, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    throw SnapshotError("cannot rename " + tmp + " to " + path);
+  }
+}
+
 std::string write_checkpoint_file(const std::string& directory,
                                   std::uint64_t round,
                                   const BitWriter& payload,
                                   unsigned keep_last) {
-  std::error_code ec;
-  fs::create_directories(directory, ec);
-  if (ec) {
-    throw SnapshotError("cannot create checkpoint directory " + directory +
-                        ": " + ec.message());
-  }
-  const fs::path final_path = fs::path(directory) / checkpoint_file_name(round);
-  const fs::path tmp_path = fs::path(directory) /
-                            (checkpoint_file_name(round) + ".tmp");
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out.good()) {
-      throw SnapshotError("cannot open checkpoint temp file " +
-                          tmp_path.string());
-    }
+  const std::string final_path =
+      (fs::path(directory) / checkpoint_file_name(round)).string();
+  write_file_atomic(final_path, [&payload](std::ostream& out) {
     write_snapshot_container(out, payload);
-    out.flush();
-    if (!out.good()) {
-      throw SnapshotError("checkpoint write failed: " + tmp_path.string());
-    }
-  }
-  // rename(2) within one directory is atomic: readers see either the old
-  // set of checkpoints or the complete new file, never a partial one.
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    throw SnapshotError("cannot finalize checkpoint " + final_path.string());
-  }
+  });
 
   if (keep_last != 0) {
+    std::error_code ec;
     auto files = list_checkpoints(directory);
     while (files.size() > keep_last) {
       fs::remove(files.front(), ec);  // oldest first; best effort
       files.erase(files.begin());
     }
   }
-  return final_path.string();
+  return final_path;
 }
 
 std::vector<std::string> list_checkpoints(const std::string& directory) {

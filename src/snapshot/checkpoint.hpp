@@ -5,7 +5,8 @@
 // (write-to-temp + rename, so a crash mid-write can never leave a
 // truncated file under the final name) and pruned to the newest
 // `keep_last` files, so an interrupted run always finds an intact recent
-// checkpoint to --resume from.
+// checkpoint to --resume from.  write_file_atomic is that temp + rename
+// step on its own; the daemon writes its spool files through it too.
 //
 // File naming: ckpt-<round, zero-padded to 12 digits>.cbcsnap inside the
 // policy directory.  The zero padding makes lexicographic order equal
@@ -13,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +41,18 @@ struct CheckpointPolicy {
 
 /// "ckpt-000000000042.cbcsnap" for round 42.
 std::string checkpoint_file_name(std::uint64_t round);
+
+/// The round a checkpoint path names (".../ckpt-000000000042.cbcsnap" →
+/// 42); 0 when the file name does not match the pattern.
+std::uint64_t checkpoint_round_of(const std::string& path);
+
+/// Replaces the file at `path` atomically: `write` fills path + ".tmp",
+/// which is then renamed over `path` — rename(2) within one directory is
+/// atomic, so a reader sees the old file or the whole new one, never a
+/// torn one.  Creates the parent directory when missing.  Throws
+/// SnapshotError when a step fails.
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write);
 
 /// Atomically writes `payload` (wrapped in the snapshot container) as the
 /// round-`round` checkpoint in `directory`, creating the directory if

@@ -420,8 +420,8 @@ TEST(ReplyFuzz, TornReplyDecodedByteAtATimeMatchesWholeFrame) {
 TEST(ReplyFuzz, EveryShortPrefixJustWaitsOrFailsTyped) {
   const auto bytes = frame_bytes(encode_reply(sample_result_reply()));
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    const std::vector<std::uint8_t> prefix(bytes.begin(),
-                                           bytes.begin() + cut);
+    const std::vector<std::uint8_t> prefix(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
     const ReplyDrain result = drain_replies(prefix);
     EXPECT_TRUE(result.replies.empty()) << "cut " << cut;
     EXPECT_FALSE(result.error.has_value())

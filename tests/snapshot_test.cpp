@@ -470,6 +470,47 @@ TEST(SnapshotResume, RejectsRowsOfAnotherSourceSet) {
   EXPECT_THROW(run_distributed_bc(g, options), SnapshotError);
 }
 
+TEST(SnapshotResume, RejectsResumeUnderAnotherSourceMask) {
+  // Halted at round 60 of a 4-source run, before any other node's wave:
+  // every L_v row lies inside both masks below, so only the per-node
+  // source flags tell the runs apart.
+  const Graph g = load_data("karate.txt");
+  TempDir dir("sourcemask");
+  const std::string file = (dir.path() / "four.cbcsnap").string();
+  const auto mask_of = [&g](std::initializer_list<NodeId> sources) {
+    std::vector<bool> mask(g.num_nodes(), false);
+    for (const NodeId s : sources) {
+      mask[s] = true;
+    }
+    return mask;
+  };
+  DistributedBcOptions options;
+  options.sources = mask_of({0, 1, 2, 3});
+  options.halt_at_round = 60;
+  BcRun run(g, options);
+  run.run();
+  ASSERT_TRUE(run.suspended());
+  {
+    std::ofstream out(file, std::ios::binary);
+    run.save_snapshot(out);
+  }
+
+  DistributedBcOptions same;
+  same.sources = mask_of({0, 1, 2, 3});
+  same.resume_from = file;
+  EXPECT_TRUE(run_distributed_bc(g, same).resumed_from_round.has_value());
+
+  // The superset would finish with node 33's wave missing (it passed the
+  // DFS token on as a non-source); the subset would drop node 3's.
+  for (const std::vector<bool>& mask :
+       {mask_of({0, 1, 2, 3, 33}), mask_of({0, 1, 2})}) {
+    DistributedBcOptions resume;
+    resume.sources = mask;
+    resume.resume_from = file;
+    EXPECT_THROW(run_distributed_bc(g, resume), SnapshotError);
+  }
+}
+
 /// Structural fuzz past the container hash: re-hash a mutated payload so
 /// it reaches the section parsers, which must reject or accept cleanly —
 /// never crash (the ASan/TSan jobs run this test too).

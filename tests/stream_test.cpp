@@ -31,6 +31,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "graph/properties.hpp"
 #include "gtest/gtest.h"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -465,6 +467,84 @@ TEST(StreamDaemon, MutateCreateApplyConflictInvalidateAndServe) {
   bare.graph = karate;
   bare.incremental = true;
   EXPECT_EQ(client.submit(bare).disposition, SubmitDisposition::kRejected);
+}
+
+// The warm path: a second incremental submit checks the namespace's
+// maintainer out, advances it over every delta committed since its
+// version, and checks it back in.  Only the dirty sources re-run, the
+// job is never spooled, and the block equals a from-scratch build.
+TEST(StreamDaemon, WarmMaintainerServesPendingDeltasBitIdentically) {
+  TempDir spool("warm_maintainer");
+  DaemonConfig config;
+  config.spool_dir = spool.str();
+  DaemonHarness harness(config);
+  Client client;
+  harness.connect(client);
+  const std::string karate = karate_text();
+  VersionedGraph twin(read_edge_list_text(karate));
+  const NodeId n = twin.head().num_nodes();
+
+  MutateRequest create;
+  create.ns = "warm";
+  create.base_graph = karate;
+  ASSERT_EQ(client.mutate(create).outcome, MutateOutcome::kCreated);
+  const SubmitReply cold = client.submit(stream_submit("warm", 0, true));
+  ASSERT_NE(cold.job_id, 0u) << cold.detail;
+  ASSERT_TRUE(client.wait_result(cold.job_id).ready);
+  EXPECT_EQ(client.status(cold.job_id).detail,
+            "incremental@v0: full build (34 sources)");
+  std::vector<std::vector<std::uint32_t>> v0_dist;
+  for (NodeId s = 0; s < n; ++s) {
+    v0_dist.push_back(bfs_distances(twin.head(), s));
+  }
+
+  // Two batches, classified together against the v0 distances.
+  for (const auto& [base, u, v] :
+       {std::tuple{0u, 4u, 5u}, std::tuple{1u, 8u, 9u}}) {
+    MutateRequest m;
+    m.ns = "warm";
+    m.base_version = base;
+    m.ops.push_back({1, u, v});
+    ASSERT_EQ(client.mutate(m).outcome, MutateOutcome::kApplied);
+    twin.apply({{EdgeOpKind::kInsert, u, v}});
+  }
+  std::vector<GraphDeltaOp> pending = twin.delta(1);
+  pending.insert(pending.end(), twin.delta(2).begin(), twin.delta(2).end());
+  std::uint64_t dirty = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    if (!IncrementalBc::source_is_clean(v0_dist[s], pending)) {
+      ++dirty;
+    }
+  }
+  ASSERT_GT(dirty, 0u);
+  ASSERT_LT(dirty, n);
+
+  const std::uint64_t rerun_before = client.stats().dirty_sources_rerun;
+  const SubmitReply warm = client.submit(stream_submit("warm", 0, true));
+  ASSERT_EQ(warm.disposition, SubmitDisposition::kQueued) << warm.detail;
+  const ResultReply result = client.wait_result(warm.job_id);
+  ASSERT_TRUE(result.ready);
+  EXPECT_EQ(client.status(warm.job_id).detail,
+            "incremental@v2: " + std::to_string(dirty) + " dirty / " +
+                std::to_string(n - dirty) + " clean");
+  EXPECT_EQ(client.stats().dirty_sources_rerun, rerun_before + dirty);
+  std::error_code ec;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(spool.str()) / "jobs", ec)) {
+    EXPECT_NE(entry.path().filename().string().rfind("job-", 0), 0u)
+        << "spooled: " << entry.path();
+  }
+
+  const ResultBlock block = decode_block(result);
+  const IncrementalBc scratch(twin.head(), IncrementalBcConfig{});
+  expect_bit_equal(block.betweenness, scratch.scores().betweenness,
+                   "betweenness");
+  expect_bit_equal(block.closeness, scratch.scores().closeness, "closeness");
+  expect_bit_equal(block.graph_centrality, scratch.scores().graph_centrality,
+                   "graph_centrality");
+  expect_bit_equal(block.stress, scratch.scores().stress, "stress");
+  EXPECT_EQ(block.eccentricities, scratch.scores().eccentricities);
+  EXPECT_EQ(block.diameter, scratch.scores().diameter);
 }
 
 #ifdef CONGESTBCD_PATH
