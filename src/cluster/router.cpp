@@ -8,6 +8,7 @@
 
 namespace congestbc::cluster {
 
+using service::CachedResult;
 using service::CancelOutcome;
 using service::CancelReply;
 using service::FramePayload;
@@ -68,6 +69,15 @@ std::uint64_t route_fingerprint(const SubmitRequest& request) {
   return fp.value();
 }
 
+/// A block the router holds or caches, taken from a worker's reply.
+std::shared_ptr<const CachedResult> block_of(std::vector<std::uint8_t> bytes,
+                                             std::uint64_t bits) {
+  auto block = std::make_shared<CachedResult>();
+  block->block_bytes = std::move(bytes);
+  block->block_bits = bits;
+  return block;
+}
+
 std::uint64_t route_fingerprint(const MutateRequest& request) {
   FingerprintBuilder fp;
   static const char kTag[] = "route-stream";
@@ -79,7 +89,9 @@ std::uint64_t route_fingerprint(const MutateRequest& request) {
 }  // namespace
 
 Router::Router(RouterConfig config)
-    : config_(std::move(config)), ring_(config_.ring_vnodes) {}
+    : config_(std::move(config)),
+      ring_(config_.ring_vnodes),
+      result_cache_(config_.result_cache_entries) {}
 
 Router::~Router() {
   // The serve thread calls this router's hooks: join it before any
@@ -325,47 +337,21 @@ void Router::gc_jobs() {
 
 // --------------------------------------------- router result cache
 
-void Router::cache_result(const RoutedJob& job,
-                          const std::vector<std::uint8_t>& bytes,
-                          std::uint64_t bits) {
-  if (config_.result_cache_entries == 0 || !job.cacheable ||
-      job.route_fp == 0 || bits == 0) {
-    return;
-  }
-  auto [it, inserted] = result_cache_.try_emplace(job.route_fp);
-  if (!inserted) {
-    return;  // the fingerprint discipline makes the first copy canonical
-  }
-  it->second.bytes = bytes;
-  it->second.bits = bits;
-  result_cache_order_.push_back(job.route_fp);
-  while (result_cache_order_.size() > config_.result_cache_entries) {
-    result_cache_.erase(result_cache_order_.front());
-    result_cache_order_.pop_front();
+void Router::hold(std::uint64_t router_job_id, RoutedJob& job,
+                  std::shared_ptr<const CachedResult> block) {
+  job.held = std::move(block);
+  mark_terminal(router_job_id, job);
+  if (job.cacheable) {
+    result_cache_.put(job.route_fp, job.held);
   }
 }
 
-const Router::CachedBlock* Router::cached_result(
-    std::uint64_t route_fp) const {
-  if (config_.result_cache_entries == 0 || route_fp == 0) {
-    return nullptr;
+void Router::adopt_cached_result(std::uint64_t router_job_id, RoutedJob& job) {
+  if (job.held == nullptr && job.cacheable) {
+    if (auto hit = result_cache_.get(job.route_fp)) {
+      hold(router_job_id, job, std::move(hit));
+    }
   }
-  const auto it = result_cache_.find(route_fp);
-  return it == result_cache_.end() ? nullptr : &it->second;
-}
-
-bool Router::adopt_cached_result(RoutedJob& job) {
-  if (!job.cacheable) {
-    return false;
-  }
-  const CachedBlock* hit = cached_result(job.route_fp);
-  if (hit == nullptr) {
-    return false;
-  }
-  job.held_block = hit->bytes;
-  job.held_block_bits = hit->bits;
-  job.held = true;
-  return true;
 }
 
 // -------------------------------------------------- request handling
@@ -437,16 +423,13 @@ SubmitReply Router::route_submit(const SubmitRequest& request) {
     // answer without touching a worker link at all.  This is what keeps a
     // thousand concurrent submitters from serializing on the (single)
     // connection to each worker.
-    if (const CachedBlock* hit = cached_result(route_fp)) {
+    if (auto hit = result_cache_.get(route_fp)) {
       ++stats_.result_cache_hits;
       const std::uint64_t router_id = track_job("", 0, 0);
       RoutedJob& job = jobs_[router_id];
       job.route_fp = route_fp;
       job.cacheable = true;
-      job.held_block = hit->bytes;
-      job.held_block_bits = hit->bits;
-      job.held = true;
-      mark_terminal(router_id, job);
+      hold(router_id, job, std::move(hit));
       SubmitReply reply;
       reply.disposition = SubmitDisposition::kCacheHit;
       reply.job_id = router_id;
@@ -538,12 +521,8 @@ SubmitReply Router::route_submit(const SubmitRequest& request) {
         } catch (const std::exception&) {
           // Best-effort: a cancel that misses just runs a redundant job.
         }
-        RoutedJob& job = jobs_[router_id];
-        job.held_block = std::move(found.block_bytes);
-        job.held_block_bits = found.block_bits;
-        job.held = true;
-        mark_terminal(router_id, job);
-        cache_result(job, job.held_block, job.held_block_bits);
+        hold(router_id, jobs_[router_id],
+             block_of(std::move(found.block_bytes), found.block_bits));
         reply.disposition = SubmitDisposition::kCacheHit;
         reply.detail = "served from " + id + "'s cache";
         break;
@@ -586,11 +565,9 @@ StatusReply Router::route_status(std::uint64_t router_job_id) {
     return reply;
   }
   RoutedJob& job = it->second;
-  if (!job.held && adopt_cached_result(job)) {
-    // A sibling poll already pulled this fingerprint's block into the
-    // router result cache; no reason to ask the worker again.
-    mark_terminal(router_job_id, job);
-  }
+  // A sibling poll may already have pulled this fingerprint's block into
+  // the router result cache; no reason to ask the worker again.
+  adopt_cached_result(router_job_id, job);
   if (job.held) {
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
@@ -630,11 +607,8 @@ StatusReply Router::route_status(std::uint64_t router_job_id) {
   // cache holds the fingerprint, the job is effectively done.
   LookupReply found = cluster_lookup(job.fingerprint);
   if (found.found) {
-    job.held_block = std::move(found.block_bytes);
-    job.held_block_bits = found.block_bits;
-    job.held = true;
-    mark_terminal(router_job_id, job);
-    cache_result(job, job.held_block, job.held_block_bits);
+    hold(router_job_id, job,
+         block_of(std::move(found.block_bytes), found.block_bits));
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
     reply.detail = "served from the cluster cache";
@@ -669,16 +643,14 @@ ResultReply Router::route_result(std::uint64_t router_job_id) {
     return reply;
   }
   RoutedJob& job = it->second;
-  if (!job.held && adopt_cached_result(job)) {
-    mark_terminal(router_job_id, job);
-  }
+  adopt_cached_result(router_job_id, job);
   if (job.held) {
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
     reply.from_cache = true;
     reply.ready = true;
-    reply.block_bytes = job.held_block;
-    reply.block_bits = job.held_block_bits;
+    reply.block_bytes = job.held->block_bytes;
+    reply.block_bits = job.held->block_bits;
     return reply;
   }
   WorkerLink* worker = link(job.worker_id);
@@ -699,8 +671,10 @@ ResultReply Router::route_result(std::uint64_t router_job_id) {
             remote.state == JobState::kCancelled) {
           mark_terminal(router_job_id, job);
         }
-        if (remote.ready && remote.state == JobState::kDone) {
-          cache_result(job, remote.block_bytes, remote.block_bits);
+        if (remote.ready && remote.state == JobState::kDone &&
+            job.cacheable) {
+          result_cache_.put(job.route_fp,
+                            block_of(remote.block_bytes, remote.block_bits));
         }
         return remote;
       }
@@ -710,17 +684,14 @@ ResultReply Router::route_result(std::uint64_t router_job_id) {
   }
   LookupReply found = cluster_lookup(job.fingerprint);
   if (found.found) {
-    job.held_block = std::move(found.block_bytes);
-    job.held_block_bits = found.block_bits;
-    job.held = true;
-    mark_terminal(router_job_id, job);
-    cache_result(job, job.held_block, job.held_block_bits);
+    hold(router_job_id, job,
+         block_of(std::move(found.block_bytes), found.block_bits));
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
     reply.from_cache = true;
     reply.ready = true;
-    reply.block_bytes = job.held_block;
-    reply.block_bits = job.held_block_bits;
+    reply.block_bytes = job.held->block_bytes;
+    reply.block_bits = job.held->block_bits;
     return reply;
   }
   if (link_failed && within_migration_grace(worker)) {
@@ -784,42 +755,13 @@ StatsReply Router::aggregate_stats() {
     } catch (const std::exception&) {
       continue;
     }
-    total.uptime_ms = std::max(total.uptime_ms, s.uptime_ms);
-    total.submits += s.submits;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.coalesced += s.coalesced;
-    total.busy_rejections += s.busy_rejections;
-    total.draining_rejections += s.draining_rejections;
-    total.jobs_completed += s.jobs_completed;
-    total.jobs_failed += s.jobs_failed;
-    total.jobs_cancelled += s.jobs_cancelled;
-    total.jobs_suspended += s.jobs_suspended;
-    total.jobs_resumed += s.jobs_resumed;
-    total.protocol_errors += s.protocol_errors;
-    total.queue_depth += s.queue_depth;
-    total.running += s.running;
-    total.workers += s.workers;
-    total.cache_entries += s.cache_entries;
-    total.cache_evictions += s.cache_evictions;
-    total.retried_submits += s.retried_submits;
-    total.deadline_rejections += s.deadline_rejections;
-    total.deadline_expired += s.deadline_expired;
-    total.quarantined_files += s.quarantined_files;
-    total.mutations_applied += s.mutations_applied;
-    total.graph_version = std::max(total.graph_version, s.graph_version);
-    total.dirty_sources_rerun += s.dirty_sources_rerun;
-    total.cache_invalidations += s.cache_invalidations;
-    total.backend_downgrades += s.backend_downgrades;
-    total.migrated_out += s.migrated_out;
-    total.migrated_in += s.migrated_in;
-    total.lookups_served += s.lookups_served;
-    total.qps += s.qps;
-    total.worker_utilization =
-        std::max(total.worker_utilization, s.worker_utilization);
-    total.latency_p50_ms = std::max(total.latency_p50_ms, s.latency_p50_ms);
-    total.latency_p90_ms = std::max(total.latency_p90_ms, s.latency_p90_ms);
-    total.latency_p99_ms = std::max(total.latency_p99_ms, s.latency_p99_ms);
+    for (const service::StatsField& field : service::kStatsFields) {
+      field.visit([&](auto member) {
+        total.*member = field.merge == service::StatsField::kMax
+                            ? std::max(total.*member, s.*member)
+                            : total.*member + s.*member;
+      });
+    }
   }
   // Submits the router answered from its own result cache never reached
   // a worker; to a client reading the cluster view they are submits that

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "cluster/ring.hpp"
+#include "service/cache.hpp"
 #include "service/client.hpp"
 #include "service/frame_server.hpp"
 #include "service/protocol.hpp"
@@ -86,8 +87,9 @@ struct RouterConfig {
   std::uint64_t migration_grace_ms = 10000;
   /// Virtual points per worker on the ring.
   unsigned ring_vnodes = 64;
-  /// Router-held result blocks keyed by routing fingerprint (FIFO
-  /// evicted beyond this many entries).  0 disables the cache.  With it
+  /// Router-held result blocks keyed by routing fingerprint (least
+  /// recently used evicted beyond this many entries).  0 disables the
+  /// cache.  With it
   /// on, a submit or poll whose (non-stream) work already produced a
   /// block through this router is answered from router memory without a
   /// worker round trip — what keeps thousands of concurrent pollers
@@ -157,9 +159,7 @@ class Router final : public service::FrameServer {
     /// Non-stream work whose block may enter the router result cache.
     bool cacheable = false;
     /// Router-held result; when set, STATUS/RESULT are answered locally.
-    std::vector<std::uint8_t> held_block;
-    std::uint64_t held_block_bits = 0;
-    bool held = false;
+    std::shared_ptr<const service::CachedResult> held;
     bool terminal = false;  ///< retention GC eligibility
   };
 
@@ -206,20 +206,12 @@ class Router final : public service::FrameServer {
   void gc_jobs();
 
   // --- router result cache (io thread only) ---
-  struct CachedBlock {
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t bits = 0;
-  };
-  /// Stores a finished block under its routing fingerprint (no-op when
-  /// the cache is disabled or the job is not cacheable).
-  void cache_result(const RoutedJob& job,
-                    const std::vector<std::uint8_t>& bytes,
-                    std::uint64_t bits);
-  /// nullptr on miss or when the cache is disabled.
-  const CachedBlock* cached_result(std::uint64_t route_fp) const;
-  /// Adopts a cached block into `job` (held) if one exists; returns
-  /// whether STATUS/RESULT can now be answered locally.
-  bool adopt_cached_result(RoutedJob& job);
+  /// Holds `block` for the job, marks it terminal, and caches the block
+  /// under the job's routing fingerprint when the job is cacheable.
+  void hold(std::uint64_t router_job_id, RoutedJob& job,
+            std::shared_ptr<const service::CachedResult> block);
+  /// Holds the cached block of the job's fingerprint, if there is one.
+  void adopt_cached_result(std::uint64_t router_job_id, RoutedJob& job);
 
   RouterConfig config_;
 
@@ -236,8 +228,7 @@ class Router final : public service::FrameServer {
   std::uint64_t next_job_id_ = 1;
   std::unordered_map<std::uint64_t, RoutedJob> jobs_;
   std::deque<std::uint64_t> terminal_order_;
-  std::unordered_map<std::uint64_t, CachedBlock> result_cache_;
-  std::deque<std::uint64_t> result_cache_order_;  ///< FIFO eviction
+  service::LruResultCache result_cache_;
   RouterStats stats_;
 
   std::chrono::steady_clock::time_point last_health_;

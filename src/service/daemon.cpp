@@ -190,21 +190,25 @@ StatsReply Daemon::stats() {
 }
 
 StatsReply Daemon::stats_locked() {
-  double utilization = 0.0;
-  const double uptime_ns = static_cast<double>(metrics_.uptime_ms()) * 1e6;
+  StatsReply s = metrics_.snapshot();
+  const double uptime_ns = static_cast<double>(s.uptime_ms) * 1e6;
   if (pool_ && uptime_ns > 0.0) {
-    utilization = static_cast<double>(pool_->busy_nanos()) /
-                  (uptime_ns * static_cast<double>(pool_->threads()));
-    utilization = std::clamp(utilization, 0.0, 1.0);
+    s.worker_utilization = std::clamp(
+        static_cast<double>(pool_->busy_nanos()) /
+            (uptime_ns * static_cast<double>(pool_->threads())),
+        0.0, 1.0);
   }
-  std::uint64_t graph_version = 0;
   for (const auto& [ns, state] : streams_) {
-    graph_version = std::max(graph_version, state.graph->version());
+    s.graph_version = std::max(s.graph_version, state.graph->version());
   }
-  return metrics_.snapshot(queue_.size(), running_,
-                           pool_ ? pool_->threads() : 0, cache_.size(),
-                           cache_.hits(), cache_.misses(), cache_.evictions(),
-                           utilization, graph_version);
+  s.queue_depth = queue_.size();
+  s.running = running_;
+  s.workers = pool_ ? pool_->threads() : 0;
+  s.cache_entries = cache_.size();
+  s.cache_hits = cache_.hits();
+  s.cache_misses = cache_.misses();
+  s.cache_evictions = cache_.evictions();
+  return s;
 }
 
 // ------------------------------------------------ frame-server hooks
@@ -221,7 +225,7 @@ std::optional<std::string> Daemon::http_get(const std::string& path) {
 
 void Daemon::count_protocol_error() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++metrics_.protocol_errors;
+  ++metrics_.counters.protocol_errors;
 }
 
 void Daemon::tick() {
@@ -261,8 +265,8 @@ void Daemon::tick() {
         job->state = JobState::kFailed;
         job->detail = "client deadline expired before the job started";
         dequeue_locked(job);
-        ++metrics_.jobs_failed;
-        ++metrics_.deadline_expired;
+        ++metrics_.counters.jobs_failed;
+        ++metrics_.counters.deadline_expired;
         mark_terminal_locked(job);
         retire_job_locked(*job);
         it = inflight_.erase(it);
@@ -313,7 +317,7 @@ void Daemon::begin_drain() {
                         "directory; resubmit after restart)"
                       : "daemon drained before the job started; spooled for "
                         "restart";
-    ++metrics_.jobs_suspended;
+    ++metrics_.counters.jobs_suspended;
     inflight_.erase(job->fingerprint);
   }
   queue_.clear();
@@ -468,7 +472,7 @@ void Daemon::migrate_suspended_jobs() {
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  metrics_.migrated_out += shipped;
+  metrics_.counters.migrated_out += shipped;
   for (const std::uint64_t fp : resumed_elsewhere) {
     // The job now lives on another worker.  Release the local spool
     // entry (journal first, the usual crash-safety order) so a restarted
@@ -767,9 +771,9 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  ++metrics_.submits;
+  ++metrics_.counters.submits;
   if (request.attempt > 1) {
-    ++metrics_.retried_submits;
+    ++metrics_.counters.retried_submits;
   }
   SubmitReply reply;
   if (!parsed) {
@@ -800,7 +804,7 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
         portfolio::resolve_auto_backend(BackendId::kAuto, under_pressure);
     downgraded = options.backend == BackendId::kSampled;
     if (downgraded) {
-      ++metrics_.backend_downgrades;
+      ++metrics_.counters.backend_downgrades;
       options.approx_samples = request.samples;
       options.approx_seed = request.sample_seed;
     }
@@ -833,7 +837,7 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
     }
   }
   if (draining_) {
-    ++metrics_.draining_rejections;
+    ++metrics_.counters.draining_rejections;
     reply.disposition = SubmitDisposition::kDraining;
     reply.detail = "daemon is draining";
     return reply;
@@ -844,7 +848,7 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
     return reply;
   }
   if (const auto it = inflight_.find(fp); it != inflight_.end()) {
-    ++metrics_.coalesced;
+    ++metrics_.counters.coalesced;
     // The coalesced job serves every submitter, so it lives until the
     // *latest* deadline among them — and forever if any submitter had
     // none (time_point::max() means "no deadline").
@@ -862,7 +866,7 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
     return reply;
   }
   if (queue_.size() >= config_.queue_limit) {
-    ++metrics_.busy_rejections;
+    ++metrics_.counters.busy_rejections;
     reply.disposition = SubmitDisposition::kBusy;
     reply.detail = "queue full (" + std::to_string(queue_.size()) + " queued)";
     return reply;
@@ -878,7 +882,7 @@ SubmitReply Daemon::handle_submit(const SubmitRequest& request) {
     const double estimated_ms =
         p50 * static_cast<double>(queue_.size() + 1);
     if (estimated_ms > static_cast<double>(request.deadline_ms)) {
-      ++metrics_.deadline_rejections;
+      ++metrics_.counters.deadline_rejections;
       reply.disposition = SubmitDisposition::kDeadline;
       reply.detail = "deadline " + std::to_string(request.deadline_ms) +
                      " ms < estimated " +
@@ -979,7 +983,7 @@ MutateReply Daemon::handle_mutate(const MutateRequest& request) {
     if (!ops.empty()) {
       const stream::ApplyOutcome out = s.graph->apply(ops);
       persist_stream_version(request.ns, s);  // version 1
-      metrics_.mutations_applied += out.applied;
+      metrics_.counters.mutations_applied += out.applied;
       reply.applied = out.applied;
       reply.dropped = out.dropped;
     }
@@ -1017,7 +1021,7 @@ MutateReply Daemon::handle_mutate(const MutateRequest& request) {
   // reply the caller sends — an acknowledged version is always
   // replayable after a crash.
   persist_stream_version(request.ns, s);
-  metrics_.mutations_applied += out.applied;
+  metrics_.counters.mutations_applied += out.applied;
   invalidate_stream_cache_locked(s);
   reply.outcome = MutateOutcome::kApplied;
   reply.version = out.version;
@@ -1164,7 +1168,7 @@ CancelReply Daemon::handle_cancel(std::uint64_t job_id) {
       job->detail = "cancelled before start";
       dequeue_locked(job);
       inflight_.erase(job->fingerprint);
-      ++metrics_.jobs_cancelled;
+      ++metrics_.counters.jobs_cancelled;
       mark_terminal_locked(job);
       retire_job_locked(*job);
       reply.outcome = CancelOutcome::kCancelled;
@@ -1242,7 +1246,7 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
     // is synthesized below and the router repoints the origin's id at it
     // — so it counts as migrated in even when the block was already
     // cached locally (cross-worker LOOKUP may have warmed it).
-    ++metrics_.migrated_in;
+    ++metrics_.counters.migrated_in;
     // Synthesize a done job either way so the router can repoint the
     // origin's job id here and clients keep polling RESULT untouched.
     reply.outcome =
@@ -1281,7 +1285,7 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
   }
   if (const auto it = inflight_.find(request.fingerprint);
       it != inflight_.end()) {
-    ++metrics_.coalesced;
+    ++metrics_.counters.coalesced;
     reply.outcome = MigrateOutcome::kCoalesced;
     reply.job_id = it->second->id;
     return reply;
@@ -1313,8 +1317,8 @@ MigrateReply Daemon::handle_migrate(const MigrateRequest& request) {
       // resume_from stays empty: a from-scratch re-run.
     }
   }
-  ++metrics_.migrated_in;
-  ++metrics_.submits;
+  ++metrics_.counters.migrated_in;
+  ++metrics_.counters.submits;
   admit_locked(job);
   reply.outcome = MigrateOutcome::kAccepted;
   reply.job_id = job->id;
@@ -1329,7 +1333,7 @@ LookupReply Daemon::handle_lookup(const LookupRequest& request) {
     reply.found = true;
     reply.block_bytes = cached->block_bytes;
     reply.block_bits = cached->block_bits;
-    ++metrics_.lookups_served;
+    ++metrics_.counters.lookups_served;
   }
   return reply;
 }
@@ -1378,7 +1382,7 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
           std::chrono::steady_clock::now() - job->submitted)
           .count();
   inflight_.erase(job->fingerprint);
-  metrics_.dirty_sources_rerun += dirty_sources;
+  metrics_.counters.dirty_sources_rerun += dirty_sources;
   // Partial runs carry a (truncated) profile too — useful for debugging
   // a cancelled or over-budget job.
   job->phase_timeline =
@@ -1394,25 +1398,25 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
                       ? "suspended by drain (no spool directory; resubmit "
                         "after restart)"
                       : "suspended by drain; checkpointed for restart";
-    ++metrics_.jobs_suspended;
+    ++metrics_.counters.jobs_suspended;
     wake();
     return;
   }
   if (halted && job->cancel_requested) {
     job->state = JobState::kCancelled;
     job->detail = "cancelled while running";
-    ++metrics_.jobs_cancelled;
+    ++metrics_.counters.jobs_cancelled;
   } else if (outcome.status == RunStatus::kComplete && block_servable) {
     job->state = JobState::kDone;
     job->detail = outcome.detail;  // a stream job's dirty/clean summary
     job->result = servable;
     cache_.put(job->fingerprint, servable);
-    ++metrics_.jobs_completed;
+    ++metrics_.counters.jobs_completed;
     persist_cache_entry(job->fingerprint, *servable);
   } else if (outcome.status == RunStatus::kComplete) {
     job->state = JobState::kFailed;
     job->detail = unservable_detail;
-    ++metrics_.jobs_failed;
+    ++metrics_.counters.jobs_failed;
   } else {
     // Over budget, past the client deadline, or broken: the partial
     // harvest is served (degraded serving) but never cached.
@@ -1425,14 +1429,14 @@ void Daemon::execute_job(const std::shared_ptr<Job>& job) {
                     std::to_string(config_.job_time_budget_ms) + " ms)";
     } else {
       job->detail = "client deadline expired while the job ran";
-      ++metrics_.deadline_expired;
+      ++metrics_.counters.deadline_expired;
     }
     if (block_servable) {
       job->result = servable;
     } else {
       job->detail += "; " + unservable_detail;
     }
-    ++metrics_.jobs_failed;
+    ++metrics_.counters.jobs_failed;
   }
   if (job->state != JobState::kCancelled) {
     metrics_.record_latency_ms(latency_ms);
@@ -1582,7 +1586,7 @@ void Daemon::quarantine_path(const std::string& path) {
     // back to removal so the bad file cannot be re-trusted next start.
     fs::remove_all(source, ec);
   }
-  ++metrics_.quarantined_files;
+  ++metrics_.counters.quarantined_files;
 }
 
 void Daemon::retire_job_locked(const Job& job) {
@@ -1676,7 +1680,7 @@ void Daemon::persist_stream_version(const std::string& ns,
 void Daemon::invalidate_stream_cache_locked(StreamNamespace& state) {
   for (const std::uint64_t fp : state.live_cache_fps) {
     if (cache_.erase(fp)) {
-      ++metrics_.cache_invalidations;
+      ++metrics_.counters.cache_invalidations;
       if (!config_.spool_dir.empty()) {
         remove_cache_entry(fp);
       }
@@ -1939,7 +1943,7 @@ void Daemon::recover_spool() {
       }
       job->resume_from = ck.path;
       job->id = next_job_id_++;
-      ++metrics_.jobs_resumed;
+      ++metrics_.counters.jobs_resumed;
       admit_locked(job);
     } catch (const std::exception&) {
       quarantine_path(entry.path().string());  // unreadable spool entry

@@ -52,100 +52,49 @@ std::uint64_t ServiceMetrics::uptime_ms() const {
           .count());
 }
 
-StatsReply ServiceMetrics::snapshot(std::uint64_t queue_depth,
-                                    std::uint64_t running,
-                                    std::uint64_t workers,
-                                    std::uint64_t cache_entries,
-                                    std::uint64_t cache_hits,
-                                    std::uint64_t cache_misses,
-                                    std::uint64_t cache_evictions,
-                                    double worker_utilization,
-                                    std::uint64_t graph_version) const {
-  StatsReply s;
+StatsReply ServiceMetrics::snapshot() const {
+  StatsReply s = counters;
   s.uptime_ms = uptime_ms();
-  s.submits = submits;
-  s.cache_hits = cache_hits;
-  s.cache_misses = cache_misses;
-  s.coalesced = coalesced;
-  s.busy_rejections = busy_rejections;
-  s.draining_rejections = draining_rejections;
-  s.jobs_completed = jobs_completed;
-  s.jobs_failed = jobs_failed;
-  s.jobs_cancelled = jobs_cancelled;
-  s.jobs_suspended = jobs_suspended;
-  s.jobs_resumed = jobs_resumed;
-  s.protocol_errors = protocol_errors;
-  s.queue_depth = queue_depth;
-  s.running = running;
-  s.workers = workers;
-  s.cache_entries = cache_entries;
-  s.cache_evictions = cache_evictions;
-  s.retried_submits = retried_submits;
-  s.deadline_rejections = deadline_rejections;
-  s.deadline_expired = deadline_expired;
-  s.quarantined_files = quarantined_files;
-  s.mutations_applied = mutations_applied;
-  s.graph_version = graph_version;
-  s.dirty_sources_rerun = dirty_sources_rerun;
-  s.cache_invalidations = cache_invalidations;
-  s.backend_downgrades = backend_downgrades;
-  s.migrated_out = migrated_out;
-  s.migrated_in = migrated_in;
-  s.lookups_served = lookups_served;
-  s.qps = s.uptime_ms == 0
-              ? 0.0
-              : static_cast<double>(submits) * 1000.0 /
-                    static_cast<double>(s.uptime_ms);
-  s.worker_utilization = worker_utilization;
+  s.qps = s.uptime_ms == 0 ? 0.0
+                           : static_cast<double>(s.submits) * 1000.0 /
+                                 static_cast<double>(s.uptime_ms);
   s.latency_p50_ms = latency_percentile(50.0);
   s.latency_p90_ms = latency_percentile(90.0);
   s.latency_p99_ms = latency_percentile(99.0);
   return s;
 }
 
+namespace {
+
+/// The text views list the integer fields first, then the floating-point
+/// gauges (the append-only STATS wire body has the v4-v6 counters after
+/// the gauges).
+template <class F>
+void for_each_text_field(F&& f) {
+  for (const bool real : {false, true}) {
+    for (const StatsField& field : kStatsFields) {
+      if ((field.real != nullptr) == real) {
+        f(field);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 std::string to_json(const StatsReply& stats) {
   JsonWriter w;
   w.begin_object();
-  w.key("uptime_ms").value(stats.uptime_ms);
-  w.key("submits").value(stats.submits);
-  w.key("cache_hits").value(stats.cache_hits);
-  w.key("cache_misses").value(stats.cache_misses);
-  const std::uint64_t lookups = stats.cache_hits + stats.cache_misses;
-  w.key("cache_hit_rate")
-      .value(lookups == 0 ? 0.0
-                          : static_cast<double>(stats.cache_hits) /
-                                static_cast<double>(lookups));
-  w.key("coalesced").value(stats.coalesced);
-  w.key("busy_rejections").value(stats.busy_rejections);
-  w.key("draining_rejections").value(stats.draining_rejections);
-  w.key("jobs_completed").value(stats.jobs_completed);
-  w.key("jobs_failed").value(stats.jobs_failed);
-  w.key("jobs_cancelled").value(stats.jobs_cancelled);
-  w.key("jobs_suspended").value(stats.jobs_suspended);
-  w.key("jobs_resumed").value(stats.jobs_resumed);
-  w.key("protocol_errors").value(stats.protocol_errors);
-  w.key("queue_depth").value(stats.queue_depth);
-  w.key("running").value(stats.running);
-  w.key("workers").value(stats.workers);
-  w.key("cache_entries").value(stats.cache_entries);
-  w.key("cache_evictions").value(stats.cache_evictions);
-  w.key("retried_submits").value(stats.retried_submits);
-  w.key("deadline_rejections").value(stats.deadline_rejections);
-  w.key("deadline_expired").value(stats.deadline_expired);
-  w.key("quarantined_files").value(stats.quarantined_files);
-  w.key("mutations_applied").value(stats.mutations_applied);
-  w.key("graph_version").value(stats.graph_version);
-  w.key("dirty_sources_rerun").value(stats.dirty_sources_rerun);
-  w.key("cache_invalidations").value(stats.cache_invalidations);
-  w.key("backend_downgrades").value(stats.backend_downgrades);
-  w.key("migrated_out").value(stats.migrated_out);
-  w.key("migrated_in").value(stats.migrated_in);
-  w.key("lookups_served").value(stats.lookups_served);
-  w.key("qps").value(stats.qps);
-  w.key("worker_utilization").value(stats.worker_utilization);
-  w.key("latency_p50_ms").value(stats.latency_p50_ms);
-  w.key("latency_p90_ms").value(stats.latency_p90_ms);
-  w.key("latency_p99_ms").value(stats.latency_p99_ms);
+  for_each_text_field([&](const StatsField& field) {
+    field.visit([&](auto member) { w.key(field.name).value(stats.*member); });
+    if (field.count == &StatsReply::cache_misses) {
+      const std::uint64_t lookups = stats.cache_hits + stats.cache_misses;
+      w.key("cache_hit_rate")
+          .value(lookups == 0 ? 0.0
+                              : static_cast<double>(stats.cache_hits) /
+                                    static_cast<double>(lookups));
+    }
+  });
   w.end_object();
   return w.str();
 }
@@ -155,95 +104,17 @@ std::string prometheus_text(const StatsReply& stats,
                             const obs::Histogram& job_rounds,
                             const obs::Histogram& round_throughput) {
   obs::PromWriter w;
-  w.gauge("congestbcd_uptime_ms", "Milliseconds since the daemon started",
-          static_cast<double>(stats.uptime_ms));
-  w.counter("congestbcd_submits_total", "SUBMIT requests accepted for parsing",
-            stats.submits);
-  w.counter("congestbcd_cache_hits_total",
-            "Submits answered from the result cache", stats.cache_hits);
-  w.counter("congestbcd_cache_misses_total",
-            "Cache lookups that missed", stats.cache_misses);
-  w.counter("congestbcd_coalesced_total",
-            "Submits attached to an identical in-flight job", stats.coalesced);
-  w.counter("congestbcd_busy_rejections_total",
-            "Submits rejected because the queue was full",
-            stats.busy_rejections);
-  w.counter("congestbcd_draining_rejections_total",
-            "Submits rejected during drain", stats.draining_rejections);
-  w.counter("congestbcd_jobs_completed_total", "Jobs finished successfully",
-            stats.jobs_completed);
-  w.counter("congestbcd_jobs_failed_total", "Jobs that ended in failure",
-            stats.jobs_failed);
-  w.counter("congestbcd_jobs_cancelled_total", "Jobs cancelled by clients",
-            stats.jobs_cancelled);
-  w.counter("congestbcd_jobs_suspended_total",
-            "Jobs suspended with a resumable checkpoint", stats.jobs_suspended);
-  w.counter("congestbcd_jobs_resumed_total",
-            "Jobs resumed from a spooled checkpoint", stats.jobs_resumed);
-  w.counter("congestbcd_protocol_errors_total",
-            "Malformed frames answered with a typed error",
-            stats.protocol_errors);
-  w.gauge("congestbcd_queue_depth", "Jobs admitted but not yet running",
-          static_cast<double>(stats.queue_depth));
-  w.gauge("congestbcd_running_jobs", "Jobs currently executing",
-          static_cast<double>(stats.running));
-  w.gauge("congestbcd_workers", "Worker pool size",
-          static_cast<double>(stats.workers));
-  w.gauge("congestbcd_cache_entries", "Result-cache entries resident",
-          static_cast<double>(stats.cache_entries));
-  w.counter("congestbcd_cache_evictions_total", "Result-cache LRU evictions",
-            stats.cache_evictions);
-  w.counter("congestbcd_retried_submits_total",
-            "Submits marked by the client as a retry (attempt > 1)",
-            stats.retried_submits);
-  w.counter("congestbcd_deadline_rejections_total",
-            "Submits rejected at admission because the client deadline "
-            "could not be met",
-            stats.deadline_rejections);
-  w.counter("congestbcd_deadline_expired_total",
-            "Admitted jobs failed because the client deadline ran out",
-            stats.deadline_expired);
-  w.counter("congestbcd_quarantined_files_total",
-            "Corrupt spool/cache/checkpoint files quarantined at startup",
-            stats.quarantined_files);
-  w.counter("congestbcd_mutations_applied_total",
-            "Edge operations applied to live stream graphs",
-            stats.mutations_applied);
-  w.gauge("congestbcd_graph_version",
-          "Highest live stream-graph version across namespaces",
-          static_cast<double>(stats.graph_version));
-  w.counter("congestbcd_dirty_sources_rerun_total",
-            "Sources re-executed by incremental BC maintainers",
-            stats.dirty_sources_rerun);
-  w.counter("congestbcd_cache_invalidations_total",
-            "Result-cache entries invalidated by stream mutations",
-            stats.cache_invalidations);
-  w.counter("congestbcd_backend_downgrades_total",
-            "backend=auto jobs downgraded to sampled under queue pressure",
-            stats.backend_downgrades);
-  w.counter("congestbcd_migrated_out_total",
-            "Jobs shipped to another worker during drain",
-            stats.migrated_out);
-  w.counter("congestbcd_migrated_in_total",
-            "Migrated jobs validated and admitted from another worker",
-            stats.migrated_in);
-  w.counter("congestbcd_lookups_served_total",
-            "Cross-worker cache probes answered from the local cache",
-            stats.lookups_served);
-  w.gauge("congestbcd_qps", "Submits per second over the daemon lifetime",
-          stats.qps);
-  w.gauge("congestbcd_worker_utilization",
-          "Fraction of worker wall-time spent inside jobs",
-          stats.worker_utilization);
-  w.gauge("congestbcd_job_latency_p50_ms",
-          "Median submit-to-terminal latency (recent window)",
-          stats.latency_p50_ms);
-  w.gauge("congestbcd_job_latency_p90_ms",
-          "p90 submit-to-terminal latency (recent window)",
-          stats.latency_p90_ms);
-  w.gauge("congestbcd_job_latency_p99_ms",
-          "p99 submit-to-terminal latency (recent window)",
-          stats.latency_p99_ms);
+  for_each_text_field([&](const StatsField& field) {
+    field.visit([&](auto member) {
+      if (field.kind == StatsField::kGauge) {
+        w.gauge(field.prom_name, field.help,
+                static_cast<double>(stats.*member));
+      } else {
+        w.counter(field.prom_name, field.help,
+                  static_cast<std::uint64_t>(stats.*member));
+      }
+    });
+  });
   w.histogram("congestbcd_job_latency_ms",
               "Submit-to-terminal latency of terminal jobs (ms)", latency_ms);
   w.histogram("congestbcd_job_rounds",

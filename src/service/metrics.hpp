@@ -26,39 +26,10 @@ class ServiceMetrics {
  public:
   ServiceMetrics() : start_(std::chrono::steady_clock::now()) {}
 
-  // Admission-plane counters (the daemon bumps these directly).
-  std::uint64_t submits = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t busy_rejections = 0;
-  std::uint64_t draining_rejections = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t jobs_suspended = 0;
-  std::uint64_t jobs_resumed = 0;
-  std::uint64_t protocol_errors = 0;
-  // Chaos/retry-plane counters (PR 6): visibility into the self-healing
-  // path — how often clients resend, how often deadline admission says
-  // no, how many jobs die mid-run on an expired budget, and how many
-  // state files the startup integrity scan had to quarantine.
-  std::uint64_t retried_submits = 0;
-  std::uint64_t deadline_rejections = 0;
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t quarantined_files = 0;
-  // Streaming-plane counters (PR 8): the mutation ingest path — edge ops
-  // that changed a live graph, sources the incremental maintainers had
-  // to re-run, and cache entries invalidated by fingerprint delta.
-  std::uint64_t mutations_applied = 0;
-  std::uint64_t dirty_sources_rerun = 0;
-  std::uint64_t cache_invalidations = 0;
-  // Portfolio-plane counter (PR 9): backend=auto jobs the admission path
-  // downgraded to the sampled backend under queue pressure.
-  std::uint64_t backend_downgrades = 0;
-  // Cluster-plane counters (PR 10): drain-time job transplants between
-  // workers and cross-worker cache probes served from this cache.
-  std::uint64_t migrated_out = 0;
-  std::uint64_t migrated_in = 0;
-  std::uint64_t lookups_served = 0;
+  /// The counters the daemon bumps directly, kept in the StatsReply
+  /// they are served in; snapshot() adds the fields only this class
+  /// knows, and the daemon fills in the live gauges.
+  StatsReply counters;
 
   // Whole-life histograms behind the /metrics endpoint (the percentile
   // window above describes recent behavior; these never forget).
@@ -83,13 +54,8 @@ class ServiceMetrics {
 
   std::uint64_t uptime_ms() const;
 
-  /// Builds the full snapshot from the counters plus the live gauges only
-  /// the daemon knows.
-  StatsReply snapshot(std::uint64_t queue_depth, std::uint64_t running,
-                      std::uint64_t workers, std::uint64_t cache_entries,
-                      std::uint64_t cache_hits, std::uint64_t cache_misses,
-                      std::uint64_t cache_evictions, double worker_utilization,
-                      std::uint64_t graph_version = 0) const;
+  /// `counters` plus the uptime, qps and latency percentiles.
+  StatsReply snapshot() const;
 
   static constexpr std::size_t kLatencyWindow = 4096;
 

@@ -1,10 +1,14 @@
 #include "service/protocol.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "algo/bc_pipeline.hpp"
 #include "common/assert.hpp"
+#include "core/runner.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace congestbc::service {
@@ -15,525 +19,562 @@ constexpr char kMagic[4] = {'C', 'B', 'C', 'P'};
 constexpr std::size_t kHeaderBytes = 18;
 constexpr std::size_t kChecksumOffset = 10;
 
-// ---- payload field helpers -------------------------------------------
+[[noreturn]] void malformed(const std::string& message) {
+  throw ProtocolError(ProtoError::kMalformed, message);
+}
+
+// ---- the field walk ----------------------------------------------------
 //
-// All reads funnel through these so every overrun or hostile length
-// surfaces as ProtocolError, never as UB or an unbounded allocation.
-// BitReader itself throws InvariantError past the end; decode_* wraps
-// whole-message decoding in rethrow_malformed.
+// Each message's layout is written once, as a walk over its fields in
+// wire order, templated on the direction: Writer emits each field into a
+// BitWriter, Reader reads it back and checks it.  All reads funnel
+// through Reader, so every overrun, hostile length, unknown enum value or
+// integer too wide for its field surfaces as ProtocolError, never as UB,
+// a silent truncation or an unbounded allocation.  BitReader itself
+// throws InvariantError past the end; decode() turns that into
+// kMalformed.
 
-void put_string(BitWriter& w, const std::string& s) {
-  w.write_varuint(s.size());
-  for (const char c : s) {
-    w.write(static_cast<std::uint8_t>(c), 8);
+class Writer {
+ public:
+  explicit Writer(BitWriter& w) : w_(w) {}
+
+  template <std::unsigned_integral T>
+  void varuint(const T& value) {
+    w_.write_varuint(value);
   }
-}
-
-std::string get_string(BitReader& r) {
-  const std::uint64_t size = r.read_varuint();
-  // Divide instead of multiplying: `size * 8` wraps for hostile lengths
-  // >= 2^61, which would slip past the check and into the allocation.
-  if (size > r.remaining() / 8) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "string length " + std::to_string(size) +
-                            " exceeds the remaining payload");
+  void fixed64(const std::uint64_t& value) { w_.write(value, 64); }
+  void flag(const bool& value) { w_.write_bool(value); }
+  /// A double as its raw IEEE-754 bits (the STATS gauges).
+  void raw_double(const double& value) {
+    w_.write(std::bit_cast<std::uint64_t>(value), 64);
   }
-  std::string s(static_cast<std::size_t>(size), '\0');
-  for (auto& c : s) {
-    c = static_cast<char>(r.read(8));
+  /// Result-block values, bit-exact through the snapshot field codecs.
+  void real(const double& value) { snap::put_double(w_, value); }
+  void real(const long double& value) { snap::put_long_double(w_, value); }
+
+  /// An enum or code that must lie in [first, last], as a varuint.
+  template <class T>
+  void bounded(const T& value, std::type_identity_t<T>,
+               std::type_identity_t<T>, const char*) {
+    w_.write_varuint(static_cast<std::uint64_t>(value));
   }
-  return s;
-}
 
-/// Element count guarded against hostile values: each element needs at
-/// least `min_bits_each` bits of payload left.
-std::uint64_t get_count(BitReader& r, std::uint64_t min_bits_each) {
-  const std::uint64_t count = r.read_varuint();
-  if (count > r.remaining() / min_bits_each) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "element count " + std::to_string(count) +
-                            " exceeds the remaining payload");
+  /// The message type; a type of the other direction is a caller bug.
+  void type(const MsgType& value, MsgType first, MsgType last, const char*) {
+    CBC_EXPECTS(value >= first && value <= last,
+                "message type belongs to the other direction");
+    w_.write_varuint(static_cast<std::uint64_t>(value));
   }
-  return count;
-}
 
-/// The highest backend id a frame may carry.
-constexpr auto kLastBackend = static_cast<std::uint64_t>(BackendId::kSampled);
-
-std::uint8_t checked_backend(std::uint64_t raw) {
-  if (raw > kLastBackend) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown backend " + std::to_string(raw));
+  void text(const std::string& s) {
+    w_.write_varuint(s.size());
+    for (const char c : s) {
+      w_.write(static_cast<std::uint8_t>(c), 8);
+    }
   }
-  return static_cast<std::uint8_t>(raw);
-}
 
-void put_type(BitWriter& w, MsgType type) {
-  w.write_varuint(static_cast<std::uint64_t>(type));
-}
-
-[[noreturn]] void rethrow_malformed(const char* what_msg) {
-  throw ProtocolError(ProtoError::kMalformed,
-                      std::string("malformed payload: ") + what_msg);
-}
-
-void expect_consumed(const BitReader& r) {
-  // A conforming encoder byte-pads nothing: bit length is exact.
-  if (r.remaining() != 0) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        std::to_string(r.remaining()) +
-                            " trailing bits after the last field");
+  /// Opaque byte blob (snapshot containers): varuint byte count + bytes.
+  void blob(const std::vector<std::uint8_t>& bytes) {
+    w_.write_varuint(bytes.size());
+    for (const std::uint8_t b : bytes) {
+      w_.write(b, 8);
+    }
   }
-}
 
-// ---- per-message bodies ----------------------------------------------
-
-void encode_submit_body(BitWriter& w, const SubmitRequest& s) {
-  w.write_varuint(static_cast<std::uint64_t>(s.source));
-  put_string(w, s.graph);
-  w.write_bool(s.halve);
-  w.write_bool(s.reliable);
-  put_string(w, s.faults);
-  w.write_varuint(s.max_rounds);
-  w.write_varuint(s.threads);
-  w.write_varuint(s.deadline_ms);
-  w.write_varuint(s.attempt);
-  put_string(w, s.stream_ns);
-  w.write_varuint(s.stream_version);
-  w.write_bool(s.incremental);
-  w.write_varuint(s.backend);
-  w.write_varuint(s.samples);
-  w.write_varuint(s.sample_seed);
-}
-
-SubmitRequest decode_submit_body(BitReader& r) {
-  SubmitRequest s;
-  const std::uint64_t source = r.read_varuint();
-  if (source > static_cast<std::uint64_t>(GraphSource::kPath)) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown graph source " + std::to_string(source));
+  /// An encoded result block (RESULT, LOOKUP and MIGRATE carry one):
+  /// varuint bit length + exactly that many bits, no byte padding.
+  void block(const std::vector<std::uint8_t>& bytes, const std::uint64_t& bits,
+             const char*) {
+    w_.write_varuint(bits);
+    w_.append(bytes.data(), static_cast<std::size_t>(bits));
   }
-  s.source = static_cast<GraphSource>(source);
-  s.graph = get_string(r);
-  s.halve = r.read_bool();
-  s.reliable = r.read_bool();
-  s.faults = get_string(r);
-  s.max_rounds = r.read_varuint();
-  s.threads = static_cast<std::uint32_t>(r.read_varuint());
-  s.deadline_ms = r.read_varuint();
-  s.attempt = static_cast<std::uint32_t>(r.read_varuint());
-  s.stream_ns = get_string(r);
-  s.stream_version = r.read_varuint();
-  s.incremental = r.read_bool();
-  s.backend = checked_backend(r.read_varuint());
-  const std::uint64_t samples = r.read_varuint();
-  if (samples > UINT32_MAX) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "sample budget exceeds the node id width");
+
+  /// The element count of one or more parallel arrays, which must agree.
+  template <class V, class... Rest>
+  std::size_t length(unsigned, const V& first, const Rest&... rest) {
+    CBC_EXPECTS(((rest.size() == first.size()) && ...),
+                "parallel arrays must agree on their length");
+    w_.write_varuint(first.size());
+    return first.size();
   }
-  s.samples = static_cast<std::uint32_t>(samples);
-  s.sample_seed = r.read_varuint();
-  return s;
-}
 
-// ---- v6 cluster bodies -----------------------------------------------
+ private:
+  BitWriter& w_;
+};
 
-/// Opaque byte blob (snapshot containers, encoded result blocks):
-/// varuint byte count + raw bytes, count guarded like get_string.
-void put_bytes(BitWriter& w, const std::vector<std::uint8_t>& bytes) {
-  w.write_varuint(bytes.size());
-  for (const std::uint8_t b : bytes) {
-    w.write(b, 8);
+class Reader {
+ public:
+  explicit Reader(BitReader& r) : r_(r) {}
+
+  /// Rejects a value too wide for its field instead of truncating it.
+  template <std::unsigned_integral T>
+  void varuint(T& value) {
+    const std::uint64_t raw = r_.read_varuint();
+    if (raw > std::numeric_limits<T>::max()) {
+      malformed("value " + std::to_string(raw) + " exceeds its " +
+                std::to_string(std::numeric_limits<T>::digits) +
+                "-bit field");
+    }
+    value = static_cast<T>(raw);
   }
-}
-
-std::vector<std::uint8_t> get_bytes(BitReader& r) {
-  const std::uint64_t size = r.read_varuint();
-  if (size > r.remaining() / 8) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "byte blob length " + std::to_string(size) +
-                            " exceeds the remaining payload");
+  void fixed64(std::uint64_t& value) { value = r_.read(64); }
+  void flag(bool& value) { value = r_.read_bool(); }
+  void raw_double(double& value) {
+    value = std::bit_cast<double>(r_.read(64));
   }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  for (auto& b : bytes) {
-    b = static_cast<std::uint8_t>(r.read(8));
+  void real(double& value) { value = snap::get_double(r_); }
+  void real(long double& value) { value = snap::get_long_double(r_); }
+
+  template <class T>
+  void bounded(T& value, std::type_identity_t<T> first,
+               std::type_identity_t<T> last, const char* what) {
+    const std::uint64_t raw = r_.read_varuint();
+    if (raw < static_cast<std::uint64_t>(first) ||
+        raw > static_cast<std::uint64_t>(last)) {
+      malformed(std::string("unknown ") + what + " " + std::to_string(raw));
+    }
+    value = static_cast<T>(raw);
   }
-  return bytes;
-}
 
-/// An encoded result block (RESULT, LOOKUP and MIGRATE carry one):
-/// varuint bit length + exactly that many bits, no byte padding.
-void put_block(BitWriter& w, const std::vector<std::uint8_t>& bytes,
-               std::uint64_t bits) {
-  w.write_varuint(bits);
-  w.append(bytes.data(), static_cast<std::size_t>(bits));
-}
-
-/// Reads a put_block field into `bytes` and returns its bit length; the
-/// length is checked against the payload before anything is allocated.
-/// `what` names the carrying message in the error.
-std::uint64_t get_block(BitReader& r, std::vector<std::uint8_t>& bytes,
-                        const char* what) {
-  const std::uint64_t bits = r.read_varuint();
-  if (bits > r.remaining()) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        std::string(what) +
-                            " block length exceeds the payload");
+  void type(MsgType& value, MsgType first, MsgType last, const char* what) {
+    const std::uint64_t raw = r_.read_varuint();
+    if (raw < static_cast<std::uint64_t>(first) ||
+        raw > static_cast<std::uint64_t>(last)) {
+      throw ProtocolError(ProtoError::kUnknownType,
+                          std::string("unknown ") + what + " type " +
+                              std::to_string(raw));
+    }
+    value = static_cast<MsgType>(raw);
   }
-  bytes.assign((static_cast<std::size_t>(bits) + 7) / 8, 0);
-  std::uint64_t left = bits;
-  std::size_t byte = 0;
-  while (left > 0) {
-    const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
-    bytes[byte++] = static_cast<std::uint8_t>(r.read(chunk));
-    left -= chunk;
+
+  void text(std::string& s) {
+    s.resize(checked_size(r_.read_varuint(), 8, "string length"));
+    for (char& c : s) {
+      c = static_cast<char>(r_.read(8));
+    }
   }
-  return bits;
-}
 
-void encode_join_body(BitWriter& w, const JoinRequest& j) {
-  put_string(w, j.worker_id);
-  put_string(w, j.host);
-  w.write_varuint(j.port);
-}
-
-JoinRequest decode_join_body(BitReader& r) {
-  JoinRequest j;
-  j.worker_id = get_string(r);
-  j.host = get_string(r);
-  const std::uint64_t port = r.read_varuint();
-  if (port > UINT16_MAX) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "port " + std::to_string(port) + " out of range");
+  void blob(std::vector<std::uint8_t>& bytes) {
+    bytes.resize(checked_size(r_.read_varuint(), 8, "byte blob length"));
+    for (std::uint8_t& b : bytes) {
+      b = static_cast<std::uint8_t>(r_.read(8));
+    }
   }
-  j.port = static_cast<std::uint16_t>(port);
-  return j;
-}
 
-void encode_migrate_body(BitWriter& w, const MigrateRequest& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.kind));
-  w.write(m.fingerprint, 64);
-  w.write_varuint(m.origin_job_id);
-  put_string(w, m.origin_worker);
-  encode_submit_body(w, m.submit);
-  w.write_varuint(m.snapshot_round);
-  put_bytes(w, m.snapshot_bytes);
-  put_block(w, m.block_bytes, m.block_bits);
-}
-
-MigrateRequest decode_migrate_body(BitReader& r) {
-  MigrateRequest m;
-  const std::uint64_t kind = r.read_varuint();
-  if (kind > static_cast<std::uint64_t>(MigrateKind::kResult)) {
-    throw ProtocolError(ProtoError::kMalformed,
-                        "unknown migrate kind " + std::to_string(kind));
+  /// `what` names the carrying message in the error.
+  void block(std::vector<std::uint8_t>& bytes, std::uint64_t& bits,
+             const char* what) {
+    bits = r_.read_varuint();
+    if (bits > r_.remaining()) {
+      malformed(std::string(what) + " block length exceeds the payload");
+    }
+    bytes.assign((static_cast<std::size_t>(bits) + 7) / 8, 0);
+    std::uint64_t left = bits;
+    std::size_t byte = 0;
+    while (left > 0) {
+      const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
+      bytes[byte++] = static_cast<std::uint8_t>(r_.read(chunk));
+      left -= chunk;
+    }
   }
-  m.kind = static_cast<MigrateKind>(kind);
-  m.fingerprint = r.read(64);
-  m.origin_job_id = r.read_varuint();
-  m.origin_worker = get_string(r);
-  m.submit = decode_submit_body(r);
-  m.snapshot_round = r.read_varuint();
-  m.snapshot_bytes = get_bytes(r);
-  m.block_bits = get_block(r, m.block_bytes, "migrated");
-  return m;
-}
 
-void encode_migrate_reply_body(BitWriter& w, const MigrateReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.outcome));
-  w.write_varuint(m.job_id);
-  w.write(m.fingerprint, 64);
-  put_string(w, m.detail);
-}
-
-MigrateReply decode_migrate_reply_body(BitReader& r) {
-  MigrateReply m;
-  const std::uint64_t o = r.read_varuint();
-  if (o > static_cast<std::uint64_t>(MigrateOutcome::kDraining)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown migrate outcome");
+  /// Each element needs at least `min_bits_each` bits of payload, so a
+  /// hostile count cannot out-allocate the payload it rode in on.
+  template <class V, class... Rest>
+  std::size_t length(unsigned min_bits_each, V& first, Rest&... rest) {
+    const std::size_t n =
+        checked_size(r_.read_varuint(), min_bits_each, "element count");
+    first.resize(n);
+    (rest.resize(n), ...);
+    return n;
   }
-  m.outcome = static_cast<MigrateOutcome>(o);
-  m.job_id = r.read_varuint();
-  m.fingerprint = r.read(64);
-  m.detail = get_string(r);
-  return m;
-}
 
-void encode_lookup_reply_body(BitWriter& w, const LookupReply& m) {
-  w.write_bool(m.found);
-  w.write(m.fingerprint, 64);
-  if (m.found) {
-    put_block(w, m.block_bytes, m.block_bits);
+ private:
+  /// A length checked against the payload before anything is allocated.
+  /// Divides instead of multiplying: `size * 8` wraps for hostile lengths
+  /// >= 2^61, which would slip past the check and into the allocation.
+  std::size_t checked_size(std::uint64_t size, unsigned min_bits_each,
+                           const char* what) {
+    if (size > r_.remaining() / min_bits_each) {
+      malformed(std::string(what) + " " + std::to_string(size) +
+                " exceeds the remaining payload");
+    }
+    return static_cast<std::size_t>(size);
   }
+
+  BitReader& r_;
+};
+
+/// A walk takes its message const (Writer) or mutable (Reader).
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+constexpr auto kLastBackend = static_cast<std::uint8_t>(BackendId::kSampled);
+
+// ---- per-message layouts -------------------------------------------------
+
+void walk(auto& io, Is<SubmitRequest> auto& s) {
+  io.bounded(s.source, GraphSource::kInline, GraphSource::kPath,
+             "graph source");
+  io.text(s.graph);
+  io.flag(s.halve);
+  io.flag(s.reliable);
+  io.text(s.faults);
+  io.varuint(s.max_rounds);
+  io.varuint(s.threads);
+  io.varuint(s.deadline_ms);
+  io.varuint(s.attempt);
+  io.text(s.stream_ns);
+  io.varuint(s.stream_version);
+  io.flag(s.incremental);
+  io.bounded(s.backend, 0, kLastBackend, "backend");
+  io.varuint(s.samples);
+  io.varuint(s.sample_seed);
 }
 
-LookupReply decode_lookup_reply_body(BitReader& r) {
-  LookupReply m;
-  m.found = r.read_bool();
-  m.fingerprint = r.read(64);
-  if (m.found) {
-    m.block_bits = get_block(r, m.block_bytes, "lookup");
-  }
-  return m;
-}
-
-void encode_mutate_body(BitWriter& w, const MutateRequest& m) {
-  put_string(w, m.ns);
-  w.write_varuint(m.base_version);
-  put_string(w, m.base_graph);
-  w.write_varuint(m.ops.size());
-  for (const MutateOp& op : m.ops) {
-    w.write_varuint(op.kind);
-    w.write_varuint(op.u);
-    w.write_varuint(op.v);
-  }
-}
-
-MutateRequest decode_mutate_body(BitReader& r) {
-  MutateRequest m;
-  m.ns = get_string(r);
-  m.base_version = r.read_varuint();
-  m.base_graph = get_string(r);
+void walk(auto& io, Is<MutateRequest> auto& m) {
+  io.text(m.ns);
+  io.varuint(m.base_version);
+  io.text(m.base_graph);
   // Each op is three varuints — at least 6 bits even in the tightest
-  // imaginable encoding, so hostile counts cannot out-allocate the
-  // payload they rode in on.
-  const std::uint64_t count = get_count(r, 6);
-  m.ops.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    MutateOp op;
-    const std::uint64_t kind = r.read_varuint();
-    if (kind < 1 || kind > 2) {
-      throw ProtocolError(ProtoError::kMalformed,
-                          "unknown edge op kind " + std::to_string(kind));
-    }
-    op.kind = static_cast<std::uint8_t>(kind);
-    const std::uint64_t u = r.read_varuint();
-    const std::uint64_t v = r.read_varuint();
-    if (u > UINT32_MAX || v > UINT32_MAX) {
-      throw ProtocolError(ProtoError::kMalformed,
-                          "edge op endpoint exceeds the node id width");
-    }
-    op.u = static_cast<std::uint32_t>(u);
-    op.v = static_cast<std::uint32_t>(v);
-    m.ops.push_back(op);
+  // imaginable encoding.
+  io.length(6, m.ops);
+  for (auto& op : m.ops) {
+    io.bounded(op.kind, 1, 2, "edge op kind");
+    io.varuint(op.u);
+    io.varuint(op.v);
   }
-  return m;
 }
 
-void encode_mutate_reply_body(BitWriter& w, const MutateReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.outcome));
-  w.write_varuint(m.version);
-  w.write(m.fingerprint, 64);
-  w.write_varuint(m.applied);
-  w.write_varuint(m.dropped);
-  put_string(w, m.detail);
+void walk(auto& io, Is<JoinRequest> auto& j) {
+  io.text(j.worker_id);
+  io.text(j.host);
+  io.varuint(j.port);
 }
 
-MutateReply decode_mutate_reply_body(BitReader& r) {
-  MutateReply m;
-  const std::uint64_t o = r.read_varuint();
-  if (o > static_cast<std::uint64_t>(MutateOutcome::kDraining)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown mutate outcome");
-  }
-  m.outcome = static_cast<MutateOutcome>(o);
-  m.version = r.read_varuint();
-  m.fingerprint = r.read(64);
-  m.applied = r.read_varuint();
-  m.dropped = r.read_varuint();
-  m.detail = get_string(r);
-  return m;
+void walk(auto& io, Is<MigrateRequest> auto& m) {
+  io.bounded(m.kind, MigrateKind::kResume, MigrateKind::kResult,
+             "migrate kind");
+  io.fixed64(m.fingerprint);
+  io.varuint(m.origin_job_id);
+  io.text(m.origin_worker);
+  walk(io, m.submit);
+  io.varuint(m.snapshot_round);
+  io.blob(m.snapshot_bytes);
+  io.block(m.block_bytes, m.block_bits, "migrated");
 }
 
-void encode_submit_reply_body(BitWriter& w, const SubmitReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.disposition));
-  w.write_varuint(m.job_id);
-  w.write(m.fingerprint, 64);
-  put_string(w, m.detail);
-  w.write_varuint(m.backend);
-  w.write_bool(m.downgraded);
+void walk(auto& io, Is<SubmitReply> auto& m) {
+  io.bounded(m.disposition, SubmitDisposition::kQueued,
+             SubmitDisposition::kDeadline, "submit disposition");
+  io.varuint(m.job_id);
+  io.fixed64(m.fingerprint);
+  io.text(m.detail);
+  io.bounded(m.backend, 0, kLastBackend, "backend");
+  io.flag(m.downgraded);
 }
 
-SubmitReply decode_submit_reply_body(BitReader& r) {
-  SubmitReply m;
-  const std::uint64_t d = r.read_varuint();
-  if (d > static_cast<std::uint64_t>(SubmitDisposition::kDeadline)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown submit disposition");
-  }
-  m.disposition = static_cast<SubmitDisposition>(d);
-  m.job_id = r.read_varuint();
-  m.fingerprint = r.read(64);
-  m.detail = get_string(r);
-  m.backend = checked_backend(r.read_varuint());
-  m.downgraded = r.read_bool();
-  return m;
+void walk(auto& io, Is<StatusReply> auto& m) {
+  io.bounded(m.state, JobState::kQueued, JobState::kUnknown, "job state");
+  io.varuint(m.job_id);
+  io.fixed64(m.fingerprint);
+  io.varuint(m.queue_position);
+  io.text(m.detail);
+  io.text(m.phase_timeline);
 }
 
-JobState checked_job_state(std::uint64_t raw) {
-  if (raw > static_cast<std::uint64_t>(JobState::kUnknown)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown job state");
-  }
-  return static_cast<JobState>(raw);
-}
-
-void encode_status_reply_body(BitWriter& w, const StatusReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.state));
-  w.write_varuint(m.job_id);
-  w.write(m.fingerprint, 64);
-  w.write_varuint(m.queue_position);
-  put_string(w, m.detail);
-  put_string(w, m.phase_timeline);
-}
-
-StatusReply decode_status_reply_body(BitReader& r) {
-  StatusReply m;
-  m.state = checked_job_state(r.read_varuint());
-  m.job_id = r.read_varuint();
-  m.fingerprint = r.read(64);
-  m.queue_position = static_cast<std::uint32_t>(r.read_varuint());
-  m.detail = get_string(r);
-  m.phase_timeline = get_string(r);
-  return m;
-}
-
-void encode_result_reply_body(BitWriter& w, const ResultReply& m) {
-  w.write_bool(m.ready);
-  w.write_varuint(static_cast<std::uint64_t>(m.state));
-  w.write_bool(m.from_cache);
-  w.write(m.fingerprint, 64);
-  put_string(w, m.detail);
+void walk(auto& io, Is<ResultReply> auto& m) {
+  io.flag(m.ready);
+  io.bounded(m.state, JobState::kQueued, JobState::kUnknown, "job state");
+  io.flag(m.from_cache);
+  io.fixed64(m.fingerprint);
+  io.text(m.detail);
   if (m.ready) {
-    put_block(w, m.block_bytes, m.block_bits);
+    io.block(m.block_bytes, m.block_bits, "result");
   }
 }
 
-ResultReply decode_result_reply_body(BitReader& r) {
-  ResultReply m;
-  m.ready = r.read_bool();
-  m.state = checked_job_state(r.read_varuint());
-  m.from_cache = r.read_bool();
-  m.fingerprint = r.read(64);
-  m.detail = get_string(r);
-  if (m.ready) {
-    m.block_bits = get_block(r, m.block_bytes, "result");
+void walk(auto& io, Is<StatsReply> auto& m) {
+  for (const StatsField& field : kStatsFields) {
+    if (field.count != nullptr) {
+      io.varuint(m.*field.count);
+    } else {
+      io.raw_double(m.*field.real);
+    }
   }
-  return m;
 }
 
-void encode_cancel_reply_body(BitWriter& w, const CancelReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.outcome));
+void walk(auto& io, Is<MutateReply> auto& m) {
+  io.bounded(m.outcome, MutateOutcome::kApplied, MutateOutcome::kDraining,
+             "mutate outcome");
+  io.varuint(m.version);
+  io.fixed64(m.fingerprint);
+  io.varuint(m.applied);
+  io.varuint(m.dropped);
+  io.text(m.detail);
 }
 
-CancelReply decode_cancel_reply_body(BitReader& r) {
-  CancelReply m;
-  const std::uint64_t o = r.read_varuint();
-  if (o > static_cast<std::uint64_t>(CancelOutcome::kRequested)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown cancel outcome");
+void walk(auto& io, Is<MigrateReply> auto& m) {
+  io.bounded(m.outcome, MigrateOutcome::kAccepted, MigrateOutcome::kDraining,
+             "migrate outcome");
+  io.varuint(m.job_id);
+  io.fixed64(m.fingerprint);
+  io.text(m.detail);
+}
+
+void walk(auto& io, Is<LookupReply> auto& m) {
+  io.flag(m.found);
+  io.fixed64(m.fingerprint);
+  if (m.found) {
+    io.block(m.block_bytes, m.block_bits, "lookup");
   }
-  m.outcome = static_cast<CancelOutcome>(o);
-  return m;
 }
 
-void put_gauge(BitWriter& w, double value) {
-  w.write(std::bit_cast<std::uint64_t>(value), 64);
-}
-
-double get_gauge(BitReader& r) { return std::bit_cast<double>(r.read(64)); }
-
-void encode_stats_reply_body(BitWriter& w, const StatsReply& m) {
-  w.write_varuint(m.uptime_ms);
-  w.write_varuint(m.submits);
-  w.write_varuint(m.cache_hits);
-  w.write_varuint(m.cache_misses);
-  w.write_varuint(m.coalesced);
-  w.write_varuint(m.busy_rejections);
-  w.write_varuint(m.draining_rejections);
-  w.write_varuint(m.jobs_completed);
-  w.write_varuint(m.jobs_failed);
-  w.write_varuint(m.jobs_cancelled);
-  w.write_varuint(m.jobs_suspended);
-  w.write_varuint(m.jobs_resumed);
-  w.write_varuint(m.protocol_errors);
-  w.write_varuint(m.queue_depth);
-  w.write_varuint(m.running);
-  w.write_varuint(m.workers);
-  w.write_varuint(m.cache_entries);
-  w.write_varuint(m.cache_evictions);
-  w.write_varuint(m.retried_submits);
-  w.write_varuint(m.deadline_rejections);
-  w.write_varuint(m.deadline_expired);
-  w.write_varuint(m.quarantined_files);
-  put_gauge(w, m.qps);
-  put_gauge(w, m.worker_utilization);
-  put_gauge(w, m.latency_p50_ms);
-  put_gauge(w, m.latency_p90_ms);
-  put_gauge(w, m.latency_p99_ms);
-  w.write_varuint(m.mutations_applied);
-  w.write_varuint(m.graph_version);
-  w.write_varuint(m.dirty_sources_rerun);
-  w.write_varuint(m.cache_invalidations);
-  w.write_varuint(m.backend_downgrades);
-  w.write_varuint(m.migrated_out);
-  w.write_varuint(m.migrated_in);
-  w.write_varuint(m.lookups_served);
-}
-
-StatsReply decode_stats_reply_body(BitReader& r) {
-  StatsReply m;
-  m.uptime_ms = r.read_varuint();
-  m.submits = r.read_varuint();
-  m.cache_hits = r.read_varuint();
-  m.cache_misses = r.read_varuint();
-  m.coalesced = r.read_varuint();
-  m.busy_rejections = r.read_varuint();
-  m.draining_rejections = r.read_varuint();
-  m.jobs_completed = r.read_varuint();
-  m.jobs_failed = r.read_varuint();
-  m.jobs_cancelled = r.read_varuint();
-  m.jobs_suspended = r.read_varuint();
-  m.jobs_resumed = r.read_varuint();
-  m.protocol_errors = r.read_varuint();
-  m.queue_depth = r.read_varuint();
-  m.running = r.read_varuint();
-  m.workers = r.read_varuint();
-  m.cache_entries = r.read_varuint();
-  m.cache_evictions = r.read_varuint();
-  m.retried_submits = r.read_varuint();
-  m.deadline_rejections = r.read_varuint();
-  m.deadline_expired = r.read_varuint();
-  m.quarantined_files = r.read_varuint();
-  m.qps = get_gauge(r);
-  m.worker_utilization = get_gauge(r);
-  m.latency_p50_ms = get_gauge(r);
-  m.latency_p90_ms = get_gauge(r);
-  m.latency_p99_ms = get_gauge(r);
-  m.mutations_applied = r.read_varuint();
-  m.graph_version = r.read_varuint();
-  m.dirty_sources_rerun = r.read_varuint();
-  m.cache_invalidations = r.read_varuint();
-  m.backend_downgrades = r.read_varuint();
-  m.migrated_out = r.read_varuint();
-  m.migrated_in = r.read_varuint();
-  m.lookups_served = r.read_varuint();
-  return m;
-}
-
-void encode_error_body(BitWriter& w, const ErrorReply& m) {
-  w.write_varuint(static_cast<std::uint64_t>(m.code));
-  put_string(w, m.message);
-}
-
-ErrorReply decode_error_body(BitReader& r) {
-  ErrorReply m;
-  const std::uint64_t c = r.read_varuint();
-  if (c < 1 || c > static_cast<std::uint64_t>(ProtoError::kCorrupted)) {
-    throw ProtocolError(ProtoError::kMalformed, "unknown error code");
+void walk(auto& io, Is<ResultBlock> auto& b) {
+  io.bounded(b.run_status, 0, static_cast<std::uint8_t>(RunStatus::kError),
+             "run status");
+  io.text(b.detail);
+  io.varuint(b.rounds);
+  io.varuint(b.diameter);
+  io.varuint(b.total_bits);
+  io.varuint(b.total_physical_messages);
+  // Each node carries 3 doubles + a long double + an eccentricity —
+  // well over 256 bits; 200 is a safe hostile-count floor.
+  const std::size_t n = io.length(200, b.betweenness, b.closeness,
+                                  b.graph_centrality, b.stress,
+                                  b.eccentricities);
+  for (std::size_t v = 0; v < n; ++v) {
+    io.real(b.betweenness[v]);
+    io.real(b.closeness[v]);
+    io.real(b.graph_centrality[v]);
+    io.real(b.stress[v]);
+    io.varuint(b.eccentricities[v]);
   }
-  m.code = static_cast<ProtoError>(c);
-  m.message = get_string(r);
-  return m;
+}
+
+void walk(auto& io, Is<Request> auto& request) {
+  io.type(request.type, MsgType::kSubmit, MsgType::kLookup, "request");
+  switch (request.type) {
+    case MsgType::kSubmit:
+      walk(io, request.submit);
+      break;
+    case MsgType::kStatus:
+    case MsgType::kResult:
+    case MsgType::kCancel:
+      io.varuint(request.job.job_id);
+      break;
+    case MsgType::kMutate:
+      walk(io, request.mutate);
+      break;
+    case MsgType::kJoin:
+      walk(io, request.join);
+      break;
+    case MsgType::kLeave:
+      io.text(request.leave.worker_id);
+      break;
+    case MsgType::kMigrate:
+      walk(io, request.migrate);
+      break;
+    case MsgType::kLookup:
+      io.fixed64(request.lookup.fingerprint);
+      break;
+    default:  // STATS and SHUTDOWN have no body
+      break;
+  }
+}
+
+void walk(auto& io, Is<Reply> auto& reply) {
+  io.type(reply.type, MsgType::kSubmitReply, MsgType::kLookupReply, "reply");
+  switch (reply.type) {
+    case MsgType::kSubmitReply:
+      walk(io, reply.submit);
+      break;
+    case MsgType::kStatusReply:
+      walk(io, reply.status);
+      break;
+    case MsgType::kResultReply:
+      walk(io, reply.result);
+      break;
+    case MsgType::kCancelReply:
+      io.bounded(reply.cancel.outcome, CancelOutcome::kCancelled,
+                 CancelOutcome::kRequested, "cancel outcome");
+      break;
+    case MsgType::kStatsReply:
+      walk(io, reply.stats);
+      break;
+    case MsgType::kShutdownReply:
+      io.flag(reply.shutdown.draining);
+      break;
+    case MsgType::kError:
+      io.bounded(reply.error.code, ProtoError::kBadMagic,
+                 ProtoError::kCorrupted, "error code");
+      io.text(reply.error.message);
+      break;
+    case MsgType::kMutateReply:
+      walk(io, reply.mutate);
+      break;
+    case MsgType::kJoinReply:
+      io.flag(reply.join.accepted);
+      io.text(reply.join.detail);
+      break;
+    case MsgType::kLeaveReply:
+      io.flag(reply.leave.removed);
+      break;
+    case MsgType::kMigrateReply:
+      walk(io, reply.migrate);
+      break;
+    case MsgType::kLookupReply:
+      walk(io, reply.lookup);
+      break;
+    default:  // type() admits reply types only
+      break;
+  }
+}
+
+template <class M>
+BitWriter encode(const M& message) {
+  BitWriter w;
+  Writer io(w);
+  walk(io, message);
+  return w;
+}
+
+/// Reads one M.  A frame payload must end at its last field: a
+/// conforming encoder byte-pads nothing, the bit length is exact.
+template <class M>
+M decode(BitReader& r, bool whole_payload) {
+  try {
+    M message;
+    Reader io(r);
+    walk(io, message);
+    if (whole_payload && r.remaining() != 0) {
+      malformed(std::to_string(r.remaining()) +
+                " trailing bits after the last field");
+    }
+    return message;
+  } catch (const InvariantError& e) {
+    // BitReader overruns surface as InvariantError; on a socket they mean
+    // a truncated or garbage payload, which is the peer's fault.
+    malformed(std::string("malformed payload: ") + e.what());
+  }
 }
 
 }  // namespace
+
+// ------------------------------------------------------- STATS schema
+
+namespace {
+
+using enum StatsField::Kind;
+using enum StatsField::Merge;
+
+constexpr StatsField kStatsRows[] = {
+    {"uptime_ms", "congestbcd_uptime_ms",
+     "Milliseconds since the daemon started", kGauge, kMax,
+     &StatsReply::uptime_ms},
+    {"submits", "congestbcd_submits_total",
+     "SUBMIT requests accepted for parsing", kCounter, kSum,
+     &StatsReply::submits},
+    {"cache_hits", "congestbcd_cache_hits_total",
+     "Submits answered from the result cache", kCounter, kSum,
+     &StatsReply::cache_hits},
+    {"cache_misses", "congestbcd_cache_misses_total",
+     "Cache lookups that missed", kCounter, kSum, &StatsReply::cache_misses},
+    {"coalesced", "congestbcd_coalesced_total",
+     "Submits attached to an identical in-flight job", kCounter, kSum,
+     &StatsReply::coalesced},
+    {"busy_rejections", "congestbcd_busy_rejections_total",
+     "Submits rejected because the queue was full", kCounter, kSum,
+     &StatsReply::busy_rejections},
+    {"draining_rejections", "congestbcd_draining_rejections_total",
+     "Submits rejected during drain", kCounter, kSum,
+     &StatsReply::draining_rejections},
+    {"jobs_completed", "congestbcd_jobs_completed_total",
+     "Jobs finished successfully", kCounter, kSum,
+     &StatsReply::jobs_completed},
+    {"jobs_failed", "congestbcd_jobs_failed_total",
+     "Jobs that ended in failure", kCounter, kSum, &StatsReply::jobs_failed},
+    {"jobs_cancelled", "congestbcd_jobs_cancelled_total",
+     "Jobs cancelled by clients", kCounter, kSum,
+     &StatsReply::jobs_cancelled},
+    {"jobs_suspended", "congestbcd_jobs_suspended_total",
+     "Jobs suspended with a resumable checkpoint", kCounter, kSum,
+     &StatsReply::jobs_suspended},
+    {"jobs_resumed", "congestbcd_jobs_resumed_total",
+     "Jobs resumed from a spooled checkpoint", kCounter, kSum,
+     &StatsReply::jobs_resumed},
+    {"protocol_errors", "congestbcd_protocol_errors_total",
+     "Malformed frames answered with a typed error", kCounter, kSum,
+     &StatsReply::protocol_errors},
+    {"queue_depth", "congestbcd_queue_depth",
+     "Jobs admitted but not yet running", kGauge, kSum,
+     &StatsReply::queue_depth},
+    {"running", "congestbcd_running_jobs", "Jobs currently executing", kGauge,
+     kSum, &StatsReply::running},
+    {"workers", "congestbcd_workers", "Worker pool size", kGauge, kSum,
+     &StatsReply::workers},
+    {"cache_entries", "congestbcd_cache_entries",
+     "Result-cache entries resident", kGauge, kSum,
+     &StatsReply::cache_entries},
+    {"cache_evictions", "congestbcd_cache_evictions_total",
+     "Result-cache LRU evictions", kCounter, kSum,
+     &StatsReply::cache_evictions},
+    {"retried_submits", "congestbcd_retried_submits_total",
+     "Submits marked by the client as a retry (attempt > 1)", kCounter, kSum,
+     &StatsReply::retried_submits},
+    {"deadline_rejections", "congestbcd_deadline_rejections_total",
+     "Submits rejected at admission because the client deadline could not "
+     "be met",
+     kCounter, kSum, &StatsReply::deadline_rejections},
+    {"deadline_expired", "congestbcd_deadline_expired_total",
+     "Admitted jobs failed because the client deadline ran out", kCounter,
+     kSum, &StatsReply::deadline_expired},
+    {"quarantined_files", "congestbcd_quarantined_files_total",
+     "Corrupt spool/cache/checkpoint files quarantined at startup", kCounter,
+     kSum, &StatsReply::quarantined_files},
+    {"qps", "congestbcd_qps", "Submits per second over the daemon lifetime",
+     kGauge, kSum, nullptr, &StatsReply::qps},
+    {"worker_utilization", "congestbcd_worker_utilization",
+     "Fraction of worker wall-time spent inside jobs", kGauge, kMax, nullptr,
+     &StatsReply::worker_utilization},
+    {"latency_p50_ms", "congestbcd_job_latency_p50_ms",
+     "Median submit-to-terminal latency (recent window)", kGauge, kMax,
+     nullptr, &StatsReply::latency_p50_ms},
+    {"latency_p90_ms", "congestbcd_job_latency_p90_ms",
+     "p90 submit-to-terminal latency (recent window)", kGauge, kMax, nullptr,
+     &StatsReply::latency_p90_ms},
+    {"latency_p99_ms", "congestbcd_job_latency_p99_ms",
+     "p99 submit-to-terminal latency (recent window)", kGauge, kMax, nullptr,
+     &StatsReply::latency_p99_ms},
+    {"mutations_applied", "congestbcd_mutations_applied_total",
+     "Edge operations applied to live stream graphs", kCounter, kSum,
+     &StatsReply::mutations_applied},
+    {"graph_version", "congestbcd_graph_version",
+     "Highest live stream-graph version across namespaces", kGauge, kMax,
+     &StatsReply::graph_version},
+    {"dirty_sources_rerun", "congestbcd_dirty_sources_rerun_total",
+     "Sources re-executed by incremental BC maintainers", kCounter, kSum,
+     &StatsReply::dirty_sources_rerun},
+    {"cache_invalidations", "congestbcd_cache_invalidations_total",
+     "Result-cache entries invalidated by stream mutations", kCounter, kSum,
+     &StatsReply::cache_invalidations},
+    {"backend_downgrades", "congestbcd_backend_downgrades_total",
+     "backend=auto jobs downgraded to sampled under queue pressure", kCounter,
+     kSum, &StatsReply::backend_downgrades},
+    {"migrated_out", "congestbcd_migrated_out_total",
+     "Jobs shipped to another worker during drain", kCounter, kSum,
+     &StatsReply::migrated_out},
+    {"migrated_in", "congestbcd_migrated_in_total",
+     "Migrated jobs validated and admitted from another worker", kCounter,
+     kSum, &StatsReply::migrated_in},
+    {"lookups_served", "congestbcd_lookups_served_total",
+     "Cross-worker cache probes answered from the local cache", kCounter,
+     kSum, &StatsReply::lookups_served},
+};
+
+}  // namespace
+
+const std::span<const StatsField> kStatsFields{kStatsRows};
 
 const char* to_string(ProtoError code) {
   switch (code) {
@@ -730,261 +771,26 @@ std::optional<FramePayload> FrameDecoder::next() {
 
 // --------------------------------------------------- encode / decode
 
-BitWriter encode_request(const Request& request) {
-  BitWriter w;
-  put_type(w, request.type);
-  switch (request.type) {
-    case MsgType::kSubmit:
-      encode_submit_body(w, request.submit);
-      break;
-    case MsgType::kMutate:
-      encode_mutate_body(w, request.mutate);
-      break;
-    case MsgType::kJoin:
-      encode_join_body(w, request.join);
-      break;
-    case MsgType::kLeave:
-      put_string(w, request.leave.worker_id);
-      break;
-    case MsgType::kMigrate:
-      encode_migrate_body(w, request.migrate);
-      break;
-    case MsgType::kLookup:
-      w.write(request.lookup.fingerprint, 64);
-      break;
-    case MsgType::kStatus:
-    case MsgType::kResult:
-    case MsgType::kCancel:
-      w.write_varuint(request.job.job_id);
-      break;
-    case MsgType::kStats:
-    case MsgType::kShutdown:
-      break;
-    default:
-      CBC_EXPECTS(false, "encode_request: not a request type");
-  }
-  return w;
-}
+BitWriter encode_request(const Request& request) { return encode(request); }
 
 Request decode_request(const FramePayload& payload) {
   BitReader r = payload.reader();
-  try {
-    Request request;
-    const std::uint64_t raw_type = r.read_varuint();
-    switch (raw_type) {
-      case static_cast<std::uint64_t>(MsgType::kSubmit):
-        request.type = MsgType::kSubmit;
-        request.submit = decode_submit_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kMutate):
-        request.type = MsgType::kMutate;
-        request.mutate = decode_mutate_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kJoin):
-        request.type = MsgType::kJoin;
-        request.join = decode_join_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kLeave):
-        request.type = MsgType::kLeave;
-        request.leave.worker_id = get_string(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kMigrate):
-        request.type = MsgType::kMigrate;
-        request.migrate = decode_migrate_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kLookup):
-        request.type = MsgType::kLookup;
-        request.lookup.fingerprint = r.read(64);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kStatus):
-      case static_cast<std::uint64_t>(MsgType::kResult):
-      case static_cast<std::uint64_t>(MsgType::kCancel):
-        request.type = static_cast<MsgType>(raw_type);
-        request.job.job_id = r.read_varuint();
-        break;
-      case static_cast<std::uint64_t>(MsgType::kStats):
-      case static_cast<std::uint64_t>(MsgType::kShutdown):
-        request.type = static_cast<MsgType>(raw_type);
-        break;
-      default:
-        throw ProtocolError(ProtoError::kUnknownType,
-                            "unknown request type " +
-                                std::to_string(raw_type));
-    }
-    expect_consumed(r);
-    return request;
-  } catch (const InvariantError& e) {
-    // BitReader overruns surface as InvariantError; on a socket they mean
-    // a truncated or garbage payload, which is the peer's fault.
-    rethrow_malformed(e.what());
-  }
+  return decode<Request>(r, true);
 }
 
-BitWriter encode_reply(const Reply& reply) {
-  BitWriter w;
-  put_type(w, reply.type);
-  switch (reply.type) {
-    case MsgType::kSubmitReply:
-      encode_submit_reply_body(w, reply.submit);
-      break;
-    case MsgType::kStatusReply:
-      encode_status_reply_body(w, reply.status);
-      break;
-    case MsgType::kResultReply:
-      encode_result_reply_body(w, reply.result);
-      break;
-    case MsgType::kCancelReply:
-      encode_cancel_reply_body(w, reply.cancel);
-      break;
-    case MsgType::kStatsReply:
-      encode_stats_reply_body(w, reply.stats);
-      break;
-    case MsgType::kShutdownReply:
-      w.write_bool(reply.shutdown.draining);
-      break;
-    case MsgType::kError:
-      encode_error_body(w, reply.error);
-      break;
-    case MsgType::kMutateReply:
-      encode_mutate_reply_body(w, reply.mutate);
-      break;
-    case MsgType::kJoinReply:
-      w.write_bool(reply.join.accepted);
-      put_string(w, reply.join.detail);
-      break;
-    case MsgType::kLeaveReply:
-      w.write_bool(reply.leave.removed);
-      break;
-    case MsgType::kMigrateReply:
-      encode_migrate_reply_body(w, reply.migrate);
-      break;
-    case MsgType::kLookupReply:
-      encode_lookup_reply_body(w, reply.lookup);
-      break;
-    default:
-      CBC_EXPECTS(false, "encode_reply: not a reply type");
-  }
-  return w;
-}
+BitWriter encode_reply(const Reply& reply) { return encode(reply); }
 
 Reply decode_reply(const FramePayload& payload) {
   BitReader r = payload.reader();
-  try {
-    Reply reply;
-    const std::uint64_t raw_type = r.read_varuint();
-    switch (raw_type) {
-      case static_cast<std::uint64_t>(MsgType::kSubmitReply):
-        reply.type = MsgType::kSubmitReply;
-        reply.submit = decode_submit_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kStatusReply):
-        reply.type = MsgType::kStatusReply;
-        reply.status = decode_status_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kResultReply):
-        reply.type = MsgType::kResultReply;
-        reply.result = decode_result_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kCancelReply):
-        reply.type = MsgType::kCancelReply;
-        reply.cancel = decode_cancel_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kStatsReply):
-        reply.type = MsgType::kStatsReply;
-        reply.stats = decode_stats_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kShutdownReply):
-        reply.type = MsgType::kShutdownReply;
-        reply.shutdown.draining = r.read_bool();
-        break;
-      case static_cast<std::uint64_t>(MsgType::kError):
-        reply.type = MsgType::kError;
-        reply.error = decode_error_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kMutateReply):
-        reply.type = MsgType::kMutateReply;
-        reply.mutate = decode_mutate_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kJoinReply):
-        reply.type = MsgType::kJoinReply;
-        reply.join.accepted = r.read_bool();
-        reply.join.detail = get_string(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kLeaveReply):
-        reply.type = MsgType::kLeaveReply;
-        reply.leave.removed = r.read_bool();
-        break;
-      case static_cast<std::uint64_t>(MsgType::kMigrateReply):
-        reply.type = MsgType::kMigrateReply;
-        reply.migrate = decode_migrate_reply_body(r);
-        break;
-      case static_cast<std::uint64_t>(MsgType::kLookupReply):
-        reply.type = MsgType::kLookupReply;
-        reply.lookup = decode_lookup_reply_body(r);
-        break;
-      default:
-        throw ProtocolError(ProtoError::kUnknownType,
-                            "unknown reply type " + std::to_string(raw_type));
-    }
-    expect_consumed(r);
-    return reply;
-  } catch (const InvariantError& e) {
-    rethrow_malformed(e.what());
-  }
+  return decode<Reply>(r, true);
 }
 
 BitWriter encode_result_block(const ResultBlock& block) {
-  BitWriter w;
-  w.write_varuint(block.run_status);
-  put_string(w, block.detail);
-  w.write_varuint(block.rounds);
-  w.write_varuint(block.diameter);
-  w.write_varuint(block.total_bits);
-  w.write_varuint(block.total_physical_messages);
-  const std::uint64_t n = block.betweenness.size();
-  CBC_EXPECTS(block.closeness.size() == n && block.graph_centrality.size() == n &&
-                  block.stress.size() == n && block.eccentricities.size() == n,
-              "result block arrays must agree on N");
-  w.write_varuint(n);
-  for (std::uint64_t v = 0; v < n; ++v) {
-    snap::put_double(w, block.betweenness[v]);
-    snap::put_double(w, block.closeness[v]);
-    snap::put_double(w, block.graph_centrality[v]);
-    snap::put_long_double(w, block.stress[v]);
-    w.write_varuint(block.eccentricities[v]);
-  }
-  return w;
+  return encode(block);
 }
 
 ResultBlock decode_result_block(BitReader& r) {
-  try {
-    ResultBlock block;
-    block.run_status = static_cast<std::uint8_t>(r.read_varuint());
-    block.detail = get_string(r);
-    block.rounds = r.read_varuint();
-    block.diameter = static_cast<std::uint32_t>(r.read_varuint());
-    block.total_bits = r.read_varuint();
-    block.total_physical_messages = r.read_varuint();
-    // Each node carries 3 doubles + a long double + an eccentricity —
-    // well over 256 bits; 200 is a safe hostile-count floor.
-    const std::uint64_t n = get_count(r, 200);
-    block.betweenness.reserve(static_cast<std::size_t>(n));
-    block.closeness.reserve(static_cast<std::size_t>(n));
-    block.graph_centrality.reserve(static_cast<std::size_t>(n));
-    block.stress.reserve(static_cast<std::size_t>(n));
-    block.eccentricities.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t v = 0; v < n; ++v) {
-      block.betweenness.push_back(snap::get_double(r));
-      block.closeness.push_back(snap::get_double(r));
-      block.graph_centrality.push_back(snap::get_double(r));
-      block.stress.push_back(snap::get_long_double(r));
-      block.eccentricities.push_back(
-          static_cast<std::uint32_t>(r.read_varuint()));
-    }
-    return block;
-  } catch (const InvariantError& e) {
-    rethrow_malformed(e.what());
-  }
+  return decode<ResultBlock>(r, false);
 }
 
 Request make_submit(const SubmitRequest& submit) {

@@ -16,9 +16,14 @@
 //
 // The payload starts with a varuint message type, then type-specific
 // fields.  Requests: SUBMIT (graph-or-path + run options), STATUS,
-// RESULT, CANCEL (by job id), STATS, SHUTDOWN (begin graceful drain).
-// Every request gets exactly one reply frame; clients poll RESULT until
-// the job reaches a terminal state (the daemon never pushes).
+// RESULT, CANCEL (by job id), STATS, SHUTDOWN (begin graceful drain),
+// MUTATE (edge batch on a stream namespace), JOIN and LEAVE (a worker
+// enters or leaves the router's ring), MIGRATE (a draining worker's job
+// or result moves to another worker) and LOOKUP (cross-worker cache
+// probe by fingerprint).  Every request gets exactly one reply frame;
+// clients poll RESULT until the job reaches a terminal state (the daemon
+// never pushes).  protocol.cpp writes each message's field order once,
+// as one walk that both encodes and decodes it.
 //
 // Robustness contract (tests/service_protocol_test.cpp): any malformed
 // input — bad magic, unknown version, oversized length, truncated or
@@ -31,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -497,6 +503,36 @@ struct StatsReply {
   /// Cross-worker LOOKUP probes answered from the local result cache.
   std::uint64_t lookups_served = 0;
 };
+
+/// One row of the StatsReply schema.  Every view of a snapshot walks
+/// kStatsFields instead of naming fields: the STATS wire body, the JSON
+/// dump, /metrics, the router's cluster view and the client's stats line.
+struct StatsField {
+  enum Kind : std::uint8_t { kCounter, kGauge };
+  /// How the router folds its workers' values into the cluster view.
+  enum Merge : std::uint8_t { kSum, kMax };
+
+  const char* name;       ///< JSON key and stats-line label
+  const char* prom_name;  ///< Prometheus metric name
+  const char* help;       ///< Prometheus HELP text
+  Kind kind;
+  Merge merge;
+  std::uint64_t StatsReply::*count;    ///< the field, if an integer;
+  double StatsReply::*real = nullptr;  ///< else this one
+
+  /// Calls f with the row's typed pointer to member.
+  template <class F>
+  void visit(F&& f) const {
+    if (count != nullptr) {
+      f(count);
+    } else {
+      f(real);
+    }
+  }
+};
+
+/// The StatsReply schema, one row per field in wire order (protocol.cpp).
+extern const std::span<const StatsField> kStatsFields;
 
 struct ShutdownReply {
   bool draining = false;  ///< true: drain begun (or already under way)

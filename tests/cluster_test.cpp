@@ -10,6 +10,8 @@
 //     numerics — and identical resubmits stay cache hits;
 //   * after a rebalance, the cross-worker LOOKUP probe serves cached
 //     blocks byte-identically from whichever worker still holds them;
+//   * the opt-in router result cache answers repeats with the worker's
+//     bytes and evicts its least recently used entry;
 //   * the migration matrix: a job caught mid-run on worker A by a drain
 //     resumes on worker B bit-identically to a local legacy-engine run,
 //     for every {paper_exact, cfp, sampled} backend;
@@ -430,6 +432,64 @@ TEST(ClusterRouter, CrossWorkerLookupServesByteIdenticalCachedBlocks) {
   EXPECT_GE(router.router().stats().cross_worker_hits, 1u);
   // ...and the original worker answered those probes from its cache.
   EXPECT_GE(a->daemon().stats().lookups_served, 1u);
+}
+
+// ------------------------------------------------ router result cache
+
+TEST(ClusterRouter, ResultCacheServesWorkerBytesAndEvictsLeastRecentlyUsed) {
+  RouterConfig rc;
+  rc.health_every_ms = 100;
+  rc.result_cache_entries = 2;
+  RouterHarness router(rc);
+  WorkerHarness worker(worker_config(router.address()));
+  ASSERT_TRUE(wait_until(
+      [&] { return router.router().stats().workers_active == 1; }));
+
+  Client client;
+  router.connect(client);
+  const auto hits = [&] { return router.router().stats().result_cache_hits; };
+  // Runs a never-seen graph on the worker; polling its RESULT through
+  // the router puts the block into the router's cache.
+  const auto fresh = [&](const std::string& text) {
+    const SubmitReply admitted = client.submit(inline_submit(text));
+    EXPECT_EQ(admitted.disposition, SubmitDisposition::kQueued)
+        << admitted.detail;
+    return client.wait_result(admitted.job_id);
+  };
+  // Submits `text` again; true when the router answered it itself.
+  const auto router_hit = [&](const std::string& text,
+                              const ResultReply& original) {
+    const std::uint64_t before = hits();
+    const SubmitReply again = client.submit(inline_submit(text));
+    EXPECT_EQ(again.disposition, SubmitDisposition::kCacheHit) << again.detail;
+    const ResultReply replay = client.wait_result(again.job_id);
+    EXPECT_TRUE(replay.ready);
+    EXPECT_EQ(replay.block_bits, original.block_bits);
+    EXPECT_EQ(replay.block_bytes, original.block_bytes)
+        << "cached bytes differ from the worker's";
+    return hits() == before + 1;
+  };
+
+  const std::string a = write_edge_list_text(gen::cycle(16));
+  const std::string b = write_edge_list_text(gen::cycle(17));
+  const std::string c = write_edge_list_text(gen::cycle(18));
+  const ResultReply ra = fresh(a);
+  ASSERT_TRUE(ra.ready);
+  expect_matches_local_run(ra, gen::cycle(16), DistributedBcOptions{});
+  EXPECT_TRUE(router_hit(a, ra)) << "a repeated submit must be a router hit";
+  const ResultReply rb = fresh(b);
+  EXPECT_TRUE(router_hit(a, ra));  // a is now more recently used than b
+  const ResultReply rc_reply = fresh(c);  // a third entry evicts b, not a
+  EXPECT_TRUE(router_hit(a, ra)) << "the most recently used entry was evicted";
+  EXPECT_TRUE(router_hit(c, rc_reply));
+  EXPECT_FALSE(router_hit(b, rb))
+      << "the least recently used entry survived a third insert";
+  EXPECT_EQ(hits(), 4u);
+  // Router hits never reach the worker: it ran each graph once and saw
+  // one more submit, b's after its eviction.
+  const StatsReply w = worker.daemon().stats();
+  EXPECT_EQ(w.jobs_completed, 3u);
+  EXPECT_EQ(w.submits, 4u);
 }
 
 // ------------------------------------------------ the migration matrix

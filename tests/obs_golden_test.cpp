@@ -145,6 +145,49 @@ TEST(ObsGolden, PrometheusText) {
   expect_matches_golden("metrics.prom", text);
 }
 
+TEST(ObsGolden, StatsJsonDump) {
+  // The --metrics-file payload.  Every field holds a distinct value (the
+  // cluster counters included, which the Prometheus golden leaves at 0),
+  // so a transposed key is caught.
+  service::StatsReply stats;
+  stats.uptime_ms = 61'001;
+  stats.submits = 121;
+  stats.cache_hits = 31;
+  stats.cache_misses = 81;
+  stats.coalesced = 14;
+  stats.busy_rejections = 33;
+  stats.draining_rejections = 34;
+  stats.jobs_completed = 71;
+  stats.jobs_failed = 35;
+  stats.jobs_cancelled = 36;
+  stats.jobs_suspended = 37;
+  stats.jobs_resumed = 38;
+  stats.protocol_errors = 39;
+  stats.queue_depth = 40;
+  stats.running = 41;
+  stats.workers = 42;
+  stats.cache_entries = 43;
+  stats.cache_evictions = 44;
+  stats.retried_submits = 45;
+  stats.deadline_rejections = 46;
+  stats.deadline_expired = 47;
+  stats.quarantined_files = 48;
+  stats.mutations_applied = 49;
+  stats.graph_version = 50;
+  stats.dirty_sources_rerun = 51;
+  stats.cache_invalidations = 52;
+  stats.backend_downgrades = 53;
+  stats.migrated_out = 54;
+  stats.migrated_in = 55;
+  stats.lookups_served = 56;
+  stats.qps = 1.96721;
+  stats.worker_utilization = 0.4375;
+  stats.latency_p50_ms = 12.5;
+  stats.latency_p90_ms = 80.25;
+  stats.latency_p99_ms = 200.125;
+  expect_matches_golden("stats.json", service::to_json(stats));
+}
+
 #ifdef CONGESTBC_CLI_PATH
 TEST(ObsGolden, TraceOutIsSchemaValidAndDoesNotPerturbResults) {
   // CLI-level bit-identity: --trace-out must not change a single output

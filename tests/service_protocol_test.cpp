@@ -6,17 +6,23 @@
 // outright garbage byte streams always produce a typed ProtocolError (or
 // a clean "need more bytes"), never a crash, hang, unbounded allocation,
 // or out-of-bounds read.  The fuzz loops here are what the sanitizer
-// stages of scripts/check_sanitized.sh lean on.
+// stages of scripts/check_sanitized.sh lean on.  At the end, the wire
+// golden pins the v7 bytes themselves (tests/goldens/cbcp_v7.hex).
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gtest/gtest.h"
 #include "service/protocol.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace congestbc::service {
 namespace {
@@ -730,6 +736,343 @@ TEST(ReplyFuzz, BitFlippedMembershipRepliesNeverCrash) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------
+// Checked narrowing: a varuint wider than the field it fills is
+// malformed, never silently truncated (a SUBMIT with threads = 2^32 + 1
+// must not decode as threads = 1, nor a spooled block's run status 256
+// as kComplete).  Values at the field's maximum still decode.
+
+/// A v7 SUBMIT body with default fields, except for the raw threads and
+/// attempt varuints.
+void write_submit_fields(BitWriter& w, std::uint64_t threads,
+                         std::uint64_t attempt) {
+  w.write_varuint(0);  // source: kInline
+  w.write_varuint(0);  // graph length
+  w.write_bool(true);  // halve
+  w.write_bool(false);  // reliable
+  w.write_varuint(0);  // faults length
+  w.write_varuint(0);  // max_rounds
+  w.write_varuint(threads);
+  w.write_varuint(0);  // deadline_ms
+  w.write_varuint(attempt);
+  w.write_varuint(0);  // stream_ns length
+  w.write_varuint(0);  // stream_version
+  w.write_bool(false);  // incremental
+  w.write_varuint(1);  // backend
+  w.write_varuint(0);  // samples
+  w.write_varuint(0);  // sample_seed
+}
+
+DrainResult drain_submit(std::uint64_t threads, std::uint64_t attempt) {
+  BitWriter payload;
+  payload.write_varuint(static_cast<std::uint64_t>(MsgType::kSubmit));
+  write_submit_fields(payload, threads, attempt);
+  return drain(frame_bytes(payload));
+}
+
+TEST(Narrowing, RequestFieldsWiderThanTheirTypeAreMalformed) {
+  const DrainResult widest = drain_submit(UINT32_MAX, UINT32_MAX);
+  ASSERT_FALSE(widest.error.has_value());
+  ASSERT_EQ(widest.requests.size(), 1u);
+  EXPECT_EQ(widest.requests[0].submit.threads, UINT32_MAX);
+  EXPECT_EQ(widest.requests[0].submit.attempt, UINT32_MAX);
+
+  for (const auto& [threads, attempt] :
+       {std::pair<std::uint64_t, std::uint64_t>{(1ull << 32) + 1, 1},
+        {0, 1ull << 32},
+        {0, std::numeric_limits<std::uint64_t>::max()}}) {
+    const DrainResult result = drain_submit(threads, attempt);
+    ASSERT_TRUE(result.error.has_value())
+        << "threads " << threads << " attempt " << attempt;
+    EXPECT_EQ(*result.error, ProtoError::kMalformed);
+  }
+
+  // The canonical submit inside a MIGRATE goes through the same walk.
+  BitWriter migrate;
+  migrate.write_varuint(static_cast<std::uint64_t>(MsgType::kMigrate));
+  migrate.write_varuint(0);   // kind: kResume
+  migrate.write(0xdead, 64);  // fingerprint
+  migrate.write_varuint(7);   // origin_job_id
+  migrate.write_varuint(0);   // origin_worker length
+  write_submit_fields(migrate, (1ull << 32) + 1, 1);
+  migrate.write_varuint(0);  // snapshot_round
+  migrate.write_varuint(0);  // snapshot byte count
+  migrate.write_varuint(0);  // block bit length
+  const DrainResult migrated = drain(frame_bytes(migrate));
+  ASSERT_TRUE(migrated.error.has_value());
+  EXPECT_EQ(*migrated.error, ProtoError::kMalformed);
+}
+
+/// A one-node ResultBlock with raw run_status, diameter and eccentricity.
+BitWriter block_with(std::uint64_t run_status, std::uint64_t diameter,
+                     std::uint64_t eccentricity) {
+  BitWriter w;
+  w.write_varuint(run_status);
+  w.write_varuint(0);   // detail length
+  w.write_varuint(10);  // rounds
+  w.write_varuint(diameter);
+  w.write_varuint(0);  // total_bits
+  w.write_varuint(0);  // total_physical_messages
+  w.write_varuint(1);  // N
+  snap::put_double(w, 0.0);
+  snap::put_double(w, 0.0);
+  snap::put_double(w, 0.0);
+  snap::put_long_double(w, 0.0L);
+  w.write_varuint(eccentricity);
+  return w;
+}
+
+std::optional<ProtoError> block_error(const BitWriter& block) {
+  BitReader reader(block.data(), block.bit_size());
+  try {
+    (void)decode_result_block(reader);
+  } catch (const ProtocolError& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+TEST(Narrowing, ReplyAndBlockFieldsWiderThanTheirTypeAreMalformed) {
+  // RunStatus::kError (6) is the last run status.
+  EXPECT_EQ(block_error(block_with(6, UINT32_MAX, UINT32_MAX)), std::nullopt);
+  for (const BitWriter& bad :
+       {block_with(7, 1, 1), block_with(256, 1, 1),
+        block_with(0, 1ull << 32, 1), block_with(0, 1, (1ull << 32) + 5)}) {
+    EXPECT_EQ(block_error(bad), ProtoError::kMalformed);
+  }
+
+  for (const std::uint64_t position :
+       {std::uint64_t{UINT32_MAX}, std::uint64_t{1} << 32}) {
+    BitWriter status;
+    status.write_varuint(static_cast<std::uint64_t>(MsgType::kStatusReply));
+    status.write_varuint(0);  // state: kQueued
+    status.write_varuint(3);  // job_id
+    status.write(0, 64);      // fingerprint
+    status.write_varuint(position);
+    status.write_varuint(0);  // detail length
+    status.write_varuint(0);  // phase_timeline length
+    const ReplyDrain result = drain_replies(frame_bytes(status));
+    if (position == UINT32_MAX) {
+      ASSERT_EQ(result.replies.size(), 1u);
+      EXPECT_EQ(result.replies[0].status.queue_position, UINT32_MAX);
+    } else {
+      ASSERT_TRUE(result.error.has_value());
+      EXPECT_EQ(*result.error, ProtoError::kMalformed);
+    }
+  }
+}
+
+// ------------------------------------------------------------------
+// Wire golden: the v7 bytes of one fully populated instance of every
+// request and reply type, both sides of each conditional field included,
+// and of one ResultBlock, compared against tests/goldens/cbcp_v7.hex.
+// The round trips above would pass under any symmetric change to the
+// encoding; this pins the encoding itself.  Every golden frame must also
+// decode and re-encode to the same bytes, so the decoder reads each
+// field the encoder writes, in the same order.
+//
+// Regenerating after an intentional wire change (which must also bump
+// kProtocolVersion):
+//   CONGESTBC_UPDATE_GOLDENS=1 ./build/tests/service_protocol_test
+
+SubmitRequest full_submit() {
+  SubmitRequest submit;
+  submit.source = GraphSource::kPath;
+  submit.graph = "graphs/ba_300.txt";
+  submit.halve = false;
+  submit.reliable = true;
+  submit.faults = "drop=0.1,seed=7";
+  submit.max_rounds = 123456789;
+  submit.threads = 6;
+  submit.deadline_ms = 45000;
+  submit.attempt = 3;
+  submit.stream_ns = "ns-7";
+  submit.stream_version = 12;
+  submit.incremental = true;
+  submit.backend = 4;
+  submit.samples = 321;
+  submit.sample_seed = 0xfeedface12345678ull;
+  return submit;
+}
+
+std::vector<std::pair<std::string, Request>> golden_requests() {
+  MutateRequest mutate;
+  mutate.ns = "ns-7";
+  mutate.base_version = 5;
+  mutate.base_graph = "3 2\n0 1\n1 2\n";
+  mutate.ops = {{1, 0, 2}, {2, 1, 2}, {1, 70000, 3}};
+  MigrateRequest resume = sample_migrate();
+  resume.submit = full_submit();
+  resume.block_bytes = {0x01, 0x02, 0x03, 0x04};
+  resume.block_bits = 4 * 8 - 3;
+  MigrateRequest result = resume;
+  result.kind = MigrateKind::kResult;
+  result.snapshot_round = 0;
+  result.snapshot_bytes.clear();
+  return {
+      {"submit", make_submit(full_submit())},
+      {"status", make_job_request(MsgType::kStatus, 0xdeadbeefcafe1234ull)},
+      {"result", make_job_request(MsgType::kResult, 7)},
+      {"cancel", make_job_request(MsgType::kCancel, 300)},
+      {"stats", make_plain(MsgType::kStats)},
+      {"shutdown", make_plain(MsgType::kShutdown)},
+      {"mutate", make_mutate(mutate)},
+      {"join", make_join({"10.1.2.3:7777", "10.1.2.3", 7777})},
+      {"leave", make_leave({"10.1.2.3:7777"})},
+      {"migrate_resume", make_migrate(resume)},
+      {"migrate_result", make_migrate(result)},
+      {"lookup", make_lookup(0x50f7ca11d00dfeedull)},
+  };
+}
+
+StatsReply full_stats() {
+  StatsReply s;
+  s.uptime_ms = 61000;
+  s.submits = 120;
+  s.cache_hits = 30;
+  s.cache_misses = 80;
+  s.coalesced = 10;
+  s.busy_rejections = 3;
+  s.draining_rejections = 1;
+  s.jobs_completed = 70;
+  s.jobs_failed = 5;
+  s.jobs_cancelled = 4;
+  s.jobs_suspended = 2;
+  s.jobs_resumed = 12;
+  s.protocol_errors = 6;
+  s.queue_depth = 7;
+  s.running = 22;
+  s.workers = 14;
+  s.cache_entries = 48;
+  s.cache_evictions = 9;
+  s.retried_submits = 11;
+  s.deadline_rejections = 8;
+  s.deadline_expired = 13;
+  s.quarantined_files = 15;
+  s.qps = 1.96721;
+  s.worker_utilization = 0.4375;
+  s.latency_p50_ms = 12.5;
+  s.latency_p90_ms = 80.25;
+  s.latency_p99_ms = 200.125;
+  s.mutations_applied = 21;
+  s.graph_version = 25;
+  s.dirty_sources_rerun = 17;
+  s.cache_invalidations = 16;
+  s.backend_downgrades = 19;
+  s.migrated_out = 23;
+  s.migrated_in = 24;
+  s.lookups_served = 1ull << 40;
+  return s;
+}
+
+std::vector<std::pair<std::string, Reply>> golden_replies() {
+  std::vector<std::pair<std::string, Reply>> replies;
+  const auto add = [&replies](const std::string& name, MsgType type) -> Reply& {
+    replies.emplace_back(name, Reply{});
+    replies.back().second.type = type;
+    return replies.back().second;
+  };
+  add("submit_reply", MsgType::kSubmitReply).submit = {
+      SubmitDisposition::kCoalesced, 42, 0x1234567890abcdefull, "shared", 4,
+      true};
+  add("status_reply", MsgType::kStatusReply).status = {
+      JobState::kQueued, 99,          0xabad1dea5ca1ab1eull,
+      17,                "round 17", "tree 0-12 counting 12-40"};
+  Reply& ready = add("result_ready", MsgType::kResultReply);
+  ready.result = sample_result_reply().result;
+  ready.result.block_bits = 7 * 8 - 3;
+  add("result_not_ready", MsgType::kResultReply).result = {
+      false, JobState::kRunning, false, 0x0123456789abcdefull, "running", {},
+      0};
+  add("cancel_reply", MsgType::kCancelReply).cancel = {
+      CancelOutcome::kRequested};
+  add("stats_reply", MsgType::kStatsReply).stats = full_stats();
+  add("shutdown_reply", MsgType::kShutdownReply).shutdown = {true};
+  add("error", MsgType::kError).error = {ProtoError::kBadRequest, "bad graph"};
+  add("mutate_reply", MsgType::kMutateReply).mutate = {
+      MutateOutcome::kVersionConflict, 9, 0x0f0e0d0c0b0a0908ull, 3, 1,
+      "head moved"};
+  add("join_reply", MsgType::kJoinReply).join = {true, "ring size 3"};
+  add("leave_reply", MsgType::kLeaveReply).leave = {true};
+  add("migrate_reply", MsgType::kMigrateReply).migrate = {
+      MigrateOutcome::kCoalesced, 88, 0x1badb002ull, "already cached"};
+  add("lookup_found", MsgType::kLookupReply).lookup = {
+      true, 0x50f7ca11ull, {0xaa, 0xbb, 0xcc}, 3 * 8 - 2};
+  add("lookup_missing", MsgType::kLookupReply).lookup = {false, 0x50f7ca12ull,
+                                                         {}, 0};
+  return replies;
+}
+
+ResultBlock golden_block() {
+  ResultBlock block;
+  block.run_status = 4;
+  block.detail = "round limit 99";
+  block.rounds = 99;
+  block.diameter = 5;
+  block.total_bits = (1ull << 40) + 17;
+  block.total_physical_messages = 123456;
+  block.betweenness = {0.0, -0.0, 1.5, 231.0714285};
+  block.closeness = {0.25, 0.5, 0.75, 1.0};
+  block.graph_centrality = {0.2, 0.4, 0.6, 0.8};
+  block.stress = {0.0L, 123456789.000000001L, 1.0L, 2.0L};
+  block.eccentricities = {1, 2, 3, 70000};
+  return block;
+}
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+void expect_matches_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(CONGESTBC_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("CONGESTBC_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write golden " << path;
+    out << actual;
+    GTEST_SKIP() << "golden updated: " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  ASSERT_FALSE(expected.str().empty()) << "missing golden " << path;
+  EXPECT_EQ(actual, expected.str())
+      << "wire bytes drifted from " << path
+      << "; an intentional change must bump kProtocolVersion and "
+         "regenerate with CONGESTBC_UPDATE_GOLDENS=1";
+}
+
+TEST(WireGolden, EveryMessageTypeMatchesTheV7Bytes) {
+  std::string text;
+  for (const auto& [name, request] : golden_requests()) {
+    const std::vector<std::uint8_t> bytes = frame_of(request);
+    text += name + " " + hex_of(bytes) + "\n";
+    const DrainResult decoded = drain(bytes);
+    ASSERT_FALSE(decoded.error.has_value()) << name;
+    ASSERT_EQ(decoded.requests.size(), 1u) << name;
+    EXPECT_EQ(frame_of(decoded.requests[0]), bytes) << name;
+  }
+  for (const auto& [name, reply] : golden_replies()) {
+    const auto bytes = frame_bytes(encode_reply(reply));
+    text += name + " " + hex_of(bytes) + "\n";
+    const ReplyDrain decoded = drain_replies(bytes);
+    ASSERT_FALSE(decoded.error.has_value()) << name;
+    ASSERT_EQ(decoded.replies.size(), 1u) << name;
+    EXPECT_EQ(frame_bytes(encode_reply(decoded.replies[0])), bytes) << name;
+  }
+  const BitWriter block = encode_result_block(golden_block());
+  text += "result_block " + hex_of(frame_bytes(block)) + "\n";
+  BitReader reader(block.data(), block.bit_size());
+  EXPECT_EQ(frame_bytes(encode_result_block(decode_result_block(reader))),
+            frame_bytes(block));
+  expect_matches_golden("cbcp_v7.hex", text);
 }
 
 }  // namespace

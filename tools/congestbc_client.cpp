@@ -211,26 +211,14 @@ void print_result(const ResultReply& reply) {
 }
 
 void print_stats(const StatsReply& s) {
-  std::cout << "uptime_ms=" << s.uptime_ms << " submits=" << s.submits
-            << " cache_hits=" << s.cache_hits
-            << " cache_misses=" << s.cache_misses
-            << " coalesced=" << s.coalesced << " busy=" << s.busy_rejections
-            << " completed=" << s.jobs_completed << " failed=" << s.jobs_failed
-            << " cancelled=" << s.jobs_cancelled
-            << " suspended=" << s.jobs_suspended
-            << " resumed=" << s.jobs_resumed << " queue=" << s.queue_depth
-            << " running=" << s.running << " workers=" << s.workers
-            << " cache_entries=" << s.cache_entries << " qps=" << s.qps
-            << " utilization=" << s.worker_utilization
-            << " p50_ms=" << s.latency_p50_ms << " p99_ms=" << s.latency_p99_ms
-            << " mutations=" << s.mutations_applied
-            << " graph_version=" << s.graph_version
-            << " dirty_rerun=" << s.dirty_sources_rerun
-            << " invalidations=" << s.cache_invalidations
-            << " backend_downgrades=" << s.backend_downgrades
-            << " migrated_out=" << s.migrated_out
-            << " migrated_in=" << s.migrated_in
-            << " lookups_served=" << s.lookups_served << "\n";
+  const char* separator = "";
+  for (const StatsField& field : kStatsFields) {
+    field.visit([&](auto member) {
+      std::cout << separator << field.name << "=" << s.*member;
+    });
+    separator = " ";
+  }
+  std::cout << "\n";
 }
 
 /// Parses "--ops i:1:2,d:3:4" into a MUTATE batch.
