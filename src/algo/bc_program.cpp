@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 
 namespace congestbc {
 
@@ -472,152 +472,106 @@ void BcProgram::finalize(NodeContext& ctx) {
 
 namespace {
 
-void put_soft_float(BitWriter& w, const SoftFloat& value) {
-  snap::put_u64(w, value.mantissa());
-  snap::put_i64(w, value.exponent());
-}
+using fields::Is;
 
-SoftFloat get_soft_float(BitReader& r) {
-  const std::uint64_t mantissa = snap::get_u64(r);
-  const std::int64_t exponent = snap::get_i64(r);
-  return SoftFloat::make_raw(mantissa, exponent);
-}
-
-void put_opt_u64(BitWriter& w, const std::optional<std::uint64_t>& value) {
-  snap::put_bool(w, value.has_value());
-  if (value.has_value()) {
-    snap::put_u64(w, *value);
+/// mantissa, then the exponent in zigzag coding.
+void walk(auto io, Is<SoftFloat> auto& value) {
+  std::uint64_t mantissa = value.mantissa();
+  std::int64_t exponent = value.exponent();
+  io.varuint(mantissa);
+  io.zigzag(exponent);
+  if constexpr (decltype(io)::kLoading) {
+    value = SoftFloat::make_raw(mantissa, exponent);
   }
 }
 
-std::optional<std::uint64_t> get_opt_u64(BitReader& r) {
-  if (!snap::get_bool(r)) {
-    return std::nullopt;
+void walk(auto io, Is<SourceEntry> auto& entry) {
+  io.varuint(entry.source);
+  io.varuint(entry.t_start);
+  io.varuint(entry.dist);
+  walk(io, entry.sigma);
+  io.length(7, entry.preds);  // a varuint is at least 7 bits
+  for (auto& pred : entry.preds) {
+    io.varuint(pred);
   }
-  return snap::get_u64(r);
+  walk(io, entry.psi);
+  walk(io, entry.lambda);
+  io.varuint(entry.agg_send_round);
+}
+
+void walk(auto io, Is<NodeOutputs> auto& out) {
+  io.real(out.betweenness);
+  io.real(out.closeness);
+  io.real(out.graph_centrality);
+  io.real(out.stress);
+  io.varuint(out.eccentricity);
+  io.varuint(out.sum_distances);
+  io.varuint(out.diameter);
+  io.varuint(out.aggregation_epoch);
+  io.varuint(out.finish_round);
 }
 
 }  // namespace
 
-void BcProgram::save_state(BitWriter& w) const {
-  snap::put_bool(w, i_am_source_);
-  tree_.save_state(w);
-  snap::put_u64(w, entries_.size());
-  for (const SourceEntry& entry : entries_) {
-    snap::put_u64(w, entry.source);
-    snap::put_u64(w, entry.t_start);
-    snap::put_u64(w, entry.dist);
-    put_soft_float(w, entry.sigma);
-    snap::put_u64(w, entry.preds.size());
-    for (const NodeId pred : entry.preds) {
-      snap::put_u64(w, pred);
-    }
-    put_soft_float(w, entry.psi);
-    put_soft_float(w, entry.lambda);
-    snap::put_u64(w, entry.agg_send_round);
-  }
-  snap::put_bool(w, dfs_visited_);
-  snap::put_u64(w, depth_estimate_);
-  snap::put_u64(w, next_child_);
-  put_opt_u64(w, pending_token_round_);
-  put_opt_u64(w, my_bfs_round_opt_);
-  snap::put_u64(w, my_bfs_round_);
-  snap::put_u64(w, ecc_reports_);
-  snap::put_u64(w, ecc_max_);
-  snap::put_bool(w, ecc_sent_);
-  snap::put_bool(w, phase_down_seen_);
-  snap::put_u64(w, diameter_);
-  snap::put_u64(w, epoch_);
-  snap::put_u64(w, agg_schedule_.size());
-  for (const ScheduledSend& send : agg_schedule_) {
-    snap::put_u64(w, send.round);
-    snap::put_u64(w, send.entry_index);
-  }
-  snap::put_u64(w, agg_cursor_);
-  snap::put_u64(w, finalize_round_);
-  snap::put_double(w, outputs_.betweenness);
-  snap::put_double(w, outputs_.closeness);
-  snap::put_double(w, outputs_.graph_centrality);
-  snap::put_long_double(w, outputs_.stress);
-  snap::put_u64(w, outputs_.eccentricity);
-  snap::put_u64(w, outputs_.sum_distances);
-  snap::put_u64(w, outputs_.diameter);
-  snap::put_u64(w, outputs_.aggregation_epoch);
-  snap::put_u64(w, outputs_.finish_round);
-  snap::put_bool(w, finished_);
-}
-
-void BcProgram::load_state(BitReader& r) {
+template <class IO, class Self>
+void BcProgram::walk(IO io, Self& self) {
   // A node that left the DFS token behind as a non-source never starts
   // its wave, so a run resumed under a superset mask would finish with
   // that source silently missing: the mask must match bit for bit.
-  CBC_CHECK(snap::get_bool(r) == i_am_source_,
-            "snapshot was taken under another source set");
-  tree_.load_state(r);
-  const std::uint64_t num_entries = snap::get_count(r, 35);
-  entries_.clear();
-  entries_.reserve(num_entries);
+  io.expect(self.i_am_source_, "snapshot was taken under another source set");
+  TreeBuilder::walk(io, self.tree_);
+  io.length(35, self.entries_);
+  for (auto& entry : self.entries_) {
+    congestbc::walk(io, entry);
+  }
+  io.flag(self.dfs_visited_);
+  io.varuint(self.depth_estimate_);
+  io.varuint(self.next_child_);
+  io.optional(self.pending_token_round_);
+  io.optional(self.my_bfs_round_opt_);
+  io.varuint(self.my_bfs_round_);
+  io.varuint(self.ecc_reports_);
+  io.varuint(self.ecc_max_);
+  io.flag(self.ecc_sent_);
+  io.flag(self.phase_down_seen_);
+  io.varuint(self.diameter_);
+  io.varuint(self.epoch_);
+  io.length(14, self.agg_schedule_);
+  for (auto& send : self.agg_schedule_) {
+    io.varuint(send.round);
+    io.varuint(send.entry_index);
+  }
+  io.varuint(self.agg_cursor_);
+  io.varuint(self.finalize_round_);
+  congestbc::walk(io, self.outputs_);
+  io.flag(self.finished_);
+}
+
+void BcProgram::save_state(BitWriter& w) const {
+  fields::Writer io(w);
+  walk(io, *this);
+}
+
+void BcProgram::load_state(BitReader& r) {
+  fields::Reader<fields::SnapshotFail> io(r);
+  walk(io, *this);
+  // Rebuild the rank -> row index, checking each row's source.
   entry_index_.assign(config_->sources.count(), -1);
-  for (std::uint64_t i = 0; i < num_entries; ++i) {
-    SourceEntry entry;
-    const std::uint64_t source = snap::get_u64(r);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const NodeId source = entries_[i].source;
     CBC_CHECK(source < config_->sources.num_nodes(),
               "snapshot entry references an out-of-range source");
-    entry.source = static_cast<NodeId>(source);
-    const std::uint32_t rank = config_->sources.rank(entry.source);
+    const std::uint32_t rank = config_->sources.rank(source);
     CBC_CHECK(rank != SourceRanks::kNotSource,
               "snapshot entry for a node outside this run's source set");
     CBC_CHECK(entry_index_[rank] < 0,
               "snapshot holds two entries for one source");
-    entry.t_start = snap::get_u64(r);
-    entry.dist = static_cast<std::uint32_t>(snap::get_u64(r));
-    entry.sigma = get_soft_float(r);
-    const std::uint64_t num_preds = snap::get_count(r, 7);
-    entry.preds.reserve(num_preds);
-    for (std::uint64_t p = 0; p < num_preds; ++p) {
-      entry.preds.push_back(static_cast<NodeId>(snap::get_u64(r)));
-    }
-    entry.psi = get_soft_float(r);
-    entry.lambda = get_soft_float(r);
-    entry.agg_send_round = snap::get_u64(r);
     entry_index_[rank] = static_cast<std::int32_t>(i);
-    entries_.push_back(std::move(entry));
   }
-  dfs_visited_ = snap::get_bool(r);
-  depth_estimate_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  next_child_ = static_cast<std::size_t>(snap::get_u64(r));
-  pending_token_round_ = get_opt_u64(r);
-  my_bfs_round_opt_ = get_opt_u64(r);
-  my_bfs_round_ = snap::get_u64(r);
-  ecc_reports_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  ecc_max_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  ecc_sent_ = snap::get_bool(r);
-  phase_down_seen_ = snap::get_bool(r);
-  diameter_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  epoch_ = snap::get_u64(r);
-  const std::uint64_t num_sends = snap::get_count(r, 14);
-  agg_schedule_.clear();
-  agg_schedule_.reserve(num_sends);
-  for (std::uint64_t i = 0; i < num_sends; ++i) {
-    ScheduledSend send;
-    send.round = snap::get_u64(r);
-    send.entry_index = static_cast<std::size_t>(snap::get_u64(r));
+  for (const ScheduledSend& send : agg_schedule_) {
     CBC_CHECK(send.entry_index < entries_.size(),
               "snapshot aggregation schedule references a missing entry");
-    agg_schedule_.push_back(send);
   }
-  agg_cursor_ = static_cast<std::size_t>(snap::get_u64(r));
-  finalize_round_ = snap::get_u64(r);
-  outputs_.betweenness = snap::get_double(r);
-  outputs_.closeness = snap::get_double(r);
-  outputs_.graph_centrality = snap::get_double(r);
-  outputs_.stress = snap::get_long_double(r);
-  outputs_.eccentricity = static_cast<std::uint32_t>(snap::get_u64(r));
-  outputs_.sum_distances = snap::get_u64(r);
-  outputs_.diameter = static_cast<std::uint32_t>(snap::get_u64(r));
-  outputs_.aggregation_epoch = snap::get_u64(r);
-  outputs_.finish_round = snap::get_u64(r);
-  finished_ = snap::get_bool(r);
 }
 
 }  // namespace congestbc

@@ -156,13 +156,14 @@ class BcProgram final : public NodeProgram, public Snapshottable {
   /// equality round has passed, so it only counts while still >= from.
   std::uint64_t next_active_round(std::uint64_t from) const override;
 
-  /// Checkpoint support: serializes the evolving state of all five
-  /// sub-phases (the L_v table, DFS/phase-switch/aggregation cursors,
-  /// outputs).  Config-derived fields (entry_index_, the source/target
-  /// flags) are rebuilt, not stored, except that the source flag is
-  /// saved to be checked: load_state rejects a snapshot taken under
-  /// another source set, and a row whose source is out of range, outside
-  /// this run's source set, or repeated.
+  /// Checkpoint support: one walk (bc_program.cpp) serializes the
+  /// evolving state of all five sub-phases (the L_v table, DFS/phase-
+  /// switch/aggregation cursors, outputs).  Config-derived fields
+  /// (entry_index_, the source/target flags) are rebuilt, not stored,
+  /// except that the source flag is an expect-field: load_state rejects
+  /// a snapshot taken under another source set, and its index rebuild
+  /// rejects a row whose source is out of range, outside this run's
+  /// source set, or repeated, and a send scheduled for a missing row.
   void save_state(BitWriter& w) const override;
   void load_state(BitReader& r) override;
 
@@ -192,6 +193,9 @@ class BcProgram final : public NodeProgram, public Snapshottable {
   void finalize(NodeContext& ctx);
   SourceEntry* find_entry(NodeId source);
   std::uint64_t token_pause() const;
+  /// The snapshot layout, for both directions (Self = [const] BcProgram).
+  template <class IO, class Self>
+  static void walk(IO io, Self& self);
 
   NodeId id_;
   const BcProgramConfig* config_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 
 namespace congestbc {
 
@@ -145,54 +145,41 @@ void TreeBuilder::maybe_report(NodeContext& ctx) {
   subtree_reported_ = true;
 }
 
-void TreeBuilder::save_state(BitWriter& w) const {
-  snap::put_bool(w, started_);
-  snap::put_bool(w, has_dist_);
-  snap::put_u64(w, dist_);
-  snap::put_u64(w, parent_);
-  snap::put_u64(w, wave_round_);
-  snap::put_bool(w, children_final_);
-  snap::put_u64(w, children_.size());
-  for (const NodeId child : children_) {
-    snap::put_u64(w, child);
+template <class IO, class Self>
+void TreeBuilder::walk(IO io, Self& self) {
+  io.flag(self.started_);
+  io.flag(self.has_dist_);
+  io.varuint(self.dist_);
+  io.varuint(self.parent_);
+  io.varuint(self.wave_round_);
+  io.flag(self.children_final_);
+  io.length(7, self.children_);  // a varuint is at least 7 bits
+  for (auto& child : self.children_) {
+    io.varuint(child);
   }
-  snap::put_u64(w, child_reports_.size());
-  for (const SubtreeUpMsg& report : child_reports_) {
-    snap::put_u64(w, report.count);
-    snap::put_u64(w, report.depth);
+  io.length(14, self.child_reports_);
+  for (auto& report : self.child_reports_) {
+    io.varuint(report.count);
+    io.varuint(report.depth);
   }
-  snap::put_bool(w, subtree_reported_);
-  snap::put_bool(w, tree_complete_);
-  snap::put_u64(w, subtree_count_);
-  snap::put_u64(w, subtree_depth_);
+  io.flag(self.subtree_reported_);
+  io.flag(self.tree_complete_);
+  io.varuint(self.subtree_count_);
+  io.varuint(self.subtree_depth_);
 }
 
-void TreeBuilder::load_state(BitReader& r) {
-  started_ = snap::get_bool(r);
-  has_dist_ = snap::get_bool(r);
-  dist_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  parent_ = static_cast<NodeId>(snap::get_u64(r));
-  wave_round_ = snap::get_u64(r);
-  children_final_ = snap::get_bool(r);
-  const std::uint64_t num_children = snap::get_count(r, 7);
-  children_.clear();
-  children_.reserve(num_children);
-  for (std::uint64_t i = 0; i < num_children; ++i) {
-    children_.push_back(static_cast<NodeId>(snap::get_u64(r)));
-  }
-  const std::uint64_t num_reports = snap::get_count(r, 14);
-  child_reports_.clear();
-  child_reports_.reserve(num_reports);
-  for (std::uint64_t i = 0; i < num_reports; ++i) {
-    SubtreeUpMsg report;
-    report.count = static_cast<std::uint32_t>(snap::get_u64(r));
-    report.depth = static_cast<std::uint32_t>(snap::get_u64(r));
-    child_reports_.push_back(report);
-  }
-  subtree_reported_ = snap::get_bool(r);
-  tree_complete_ = snap::get_bool(r);
-  subtree_count_ = static_cast<std::uint32_t>(snap::get_u64(r));
-  subtree_depth_ = static_cast<std::uint32_t>(snap::get_u64(r));
+template void TreeBuilder::walk(fields::Writer, const TreeBuilder&);
+template void TreeBuilder::walk(fields::Reader<fields::SnapshotFail>,
+                                TreeBuilder&);
+
+void BfsTreeProgram::save_state(BitWriter& w) const {
+  fields::Writer io(w);
+  TreeBuilder::walk(io, builder_);
+}
+
+void BfsTreeProgram::load_state(BitReader& r) {
+  fields::Reader<fields::SnapshotFail> io(r);
+  TreeBuilder::walk(io, builder_);
 }
 
 void BfsTreeProgram::on_round(NodeContext& ctx) {

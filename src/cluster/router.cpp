@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "algo/bc_pipeline.hpp"
 #include "obs/prom_text.hpp"
 #include "snapshot/fingerprint.hpp"
 
@@ -69,12 +70,16 @@ std::uint64_t route_fingerprint(const SubmitRequest& request) {
   return fp.value();
 }
 
-/// A block the router holds or caches, taken from a worker's reply.
-std::shared_ptr<const CachedResult> block_of(std::vector<std::uint8_t> bytes,
+/// A block the router holds or caches, taken from a worker's reply, with
+/// the identity that worker reported for `job`.
+std::shared_ptr<const CachedResult> block_of(const auto& job,
+                                             std::vector<std::uint8_t> bytes,
                                              std::uint64_t bits) {
   auto block = std::make_shared<CachedResult>();
   block->block_bytes = std::move(bytes);
   block->block_bits = bits;
+  block->fingerprint = job.fingerprint;
+  block->backend = job.backend;
   return block;
 }
 
@@ -416,7 +421,11 @@ Reply Router::dispatch(const Request& request) {
 
 SubmitReply Router::route_submit(const SubmitRequest& request) {
   const std::uint64_t route_fp = route_fingerprint(request);
-  const bool cacheable = request.stream_ns.empty();
+  // backend=auto is resolved by the worker, which may downgrade it to
+  // sampled under load, so the request does not name its block.
+  const bool cacheable =
+      request.stream_ns.empty() &&
+      request.backend != static_cast<std::uint8_t>(BackendId::kAuto);
   if (cacheable) {
     // Router-held result (opt-in, config.result_cache_entries): identical
     // non-stream work already produced a block through this router, so
@@ -425,15 +434,18 @@ SubmitReply Router::route_submit(const SubmitRequest& request) {
     // connection to each worker.
     if (auto hit = result_cache_.get(route_fp)) {
       ++stats_.result_cache_hits;
-      const std::uint64_t router_id = track_job("", 0, 0);
+      const std::uint64_t router_id = track_job("", 0, hit->fingerprint);
       RoutedJob& job = jobs_[router_id];
+      job.backend = hit->backend;
       job.route_fp = route_fp;
       job.cacheable = true;
-      hold(router_id, job, std::move(hit));
       SubmitReply reply;
       reply.disposition = SubmitDisposition::kCacheHit;
       reply.job_id = router_id;
+      reply.fingerprint = hit->fingerprint;
+      reply.backend = hit->backend;
       reply.detail = "served from the router result cache";
+      hold(router_id, job, std::move(hit));
       return reply;
     }
   }
@@ -486,6 +498,7 @@ SubmitReply Router::route_submit(const SubmitRequest& request) {
         track_job(worker->id, reply.job_id, reply.fingerprint);
     {
       RoutedJob& job = jobs_[router_id];
+      job.backend = reply.backend;
       job.route_fp = route_fp;
       job.cacheable = cacheable;
     }
@@ -522,7 +535,8 @@ SubmitReply Router::route_submit(const SubmitRequest& request) {
           // Best-effort: a cancel that misses just runs a redundant job.
         }
         hold(router_id, jobs_[router_id],
-             block_of(std::move(found.block_bytes), found.block_bits));
+             block_of(jobs_[router_id], std::move(found.block_bytes),
+                      found.block_bits));
         reply.disposition = SubmitDisposition::kCacheHit;
         reply.detail = "served from " + id + "'s cache";
         break;
@@ -608,7 +622,7 @@ StatusReply Router::route_status(std::uint64_t router_job_id) {
   LookupReply found = cluster_lookup(job.fingerprint);
   if (found.found) {
     hold(router_job_id, job,
-         block_of(std::move(found.block_bytes), found.block_bits));
+         block_of(job, std::move(found.block_bytes), found.block_bits));
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
     reply.detail = "served from the cluster cache";
@@ -673,8 +687,9 @@ ResultReply Router::route_result(std::uint64_t router_job_id) {
         }
         if (remote.ready && remote.state == JobState::kDone &&
             job.cacheable) {
-          result_cache_.put(job.route_fp,
-                            block_of(remote.block_bytes, remote.block_bits));
+          result_cache_.put(
+              job.route_fp,
+              block_of(job, remote.block_bytes, remote.block_bits));
         }
         return remote;
       }
@@ -685,7 +700,7 @@ ResultReply Router::route_result(std::uint64_t router_job_id) {
   LookupReply found = cluster_lookup(job.fingerprint);
   if (found.found) {
     hold(router_job_id, job,
-         block_of(std::move(found.block_bytes), found.block_bits));
+         block_of(job, std::move(found.block_bytes), found.block_bits));
     reply.state = JobState::kDone;
     reply.fingerprint = job.fingerprint;
     reply.from_cache = true;

@@ -153,10 +153,13 @@ class Router final : public service::FrameServer {
     std::string worker_id;
     std::uint64_t remote_id = 0;
     std::uint64_t fingerprint = 0;
+    /// The backend the worker resolved the job to (SubmitReply::backend).
+    std::uint8_t backend = 0;
     /// Routing fingerprint of the submit that created this job; keys the
     /// router result cache (0 when unknown, e.g. migrated-in jobs).
     std::uint64_t route_fp = 0;
-    /// Non-stream work whose block may enter the router result cache.
+    /// Non-stream work of a named backend (not auto), whose block may
+    /// enter the router result cache.
     bool cacheable = false;
     /// Router-held result; when set, STATUS/RESULT are answered locally.
     std::shared_ptr<const service::CachedResult> held;

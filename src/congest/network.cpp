@@ -19,7 +19,7 @@
 #include "core/thread_pool.hpp"
 #include "obs/span.hpp"
 #include "snapshot/fingerprint.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 #include "snapshot/snapshottable.hpp"
 
 namespace congestbc {
@@ -165,107 +165,89 @@ class LegacyContext final : public NodeContext {
   std::vector<PendingSend> outbox_;
 };
 
-// ------------------------------------------------ snapshot field helpers
+// ------------------------------------------------ the engine section
 //
-// The graph and fault-plan fingerprints recorded in the engine section
-// live in snapshot/fingerprint.hpp — shared with the service layer's
-// result cache so "safe to resume" and "safe to serve from cache" key on
-// the same bytes.  Resuming against a different graph would silently
-// misroute every restored message, so load_snapshot() refuses unless
-// graph_fingerprint matches; same for the fault plan, whose stateless
+// One walk declares the section for both directions: saving walks the
+// live engine state, loading fills a ResumeState.  Its first four fields
+// are expect-fields.  The graph and fault-plan fingerprints live in
+// snapshot/fingerprint.hpp — shared with the service layer's result
+// cache so "safe to resume" and "safe to serve from cache" key on the
+// same bytes.  Resuming against a different graph would silently
+// misroute every restored message, and the fault plan's stateless
 // injector makes the plan parameters the complete RNG cursor.
 
-void put_metrics(BitWriter& w, const RunMetrics& m) {
-  snap::put_u64(w, m.rounds);
-  snap::put_u64(w, m.total_physical_messages);
-  snap::put_u64(w, m.total_logical_messages);
-  snap::put_u64(w, m.total_bits);
-  snap::put_u64(w, m.max_bits_on_edge_round);
-  snap::put_u64(w, m.max_logical_on_edge_round);
-  snap::put_u64(w, m.cut_bits);
-  snap::put_u64(w, m.dropped_messages);
-  snap::put_u64(w, m.duplicated_messages);
-  snap::put_u64(w, m.delayed_messages);
-  snap::put_u64(w, m.crashed_node_rounds);
-  snap::put_u64(w, m.per_round.size());
-  for (const RoundStats& s : m.per_round) {
-    snap::put_u64(w, s.physical_messages);
-    snap::put_u64(w, s.logical_messages);
-    snap::put_u64(w, s.bits);
-    snap::put_u64(w, s.max_bits_on_edge);
-    snap::put_u64(w, s.max_logical_on_edge);
-  }
+using fields::Is;
+
+void walk(auto io, Is<RoundStats> auto& s) {
+  io.varuint(s.physical_messages);
+  io.varuint(s.logical_messages);
+  io.varuint(s.bits);
+  io.varuint(s.max_bits_on_edge);
+  io.varuint(s.max_logical_on_edge);
 }
 
-RunMetrics get_metrics(BitReader& r) {
-  RunMetrics m;
-  m.rounds = snap::get_u64(r);
-  m.total_physical_messages = snap::get_u64(r);
-  m.total_logical_messages = snap::get_u64(r);
-  m.total_bits = snap::get_u64(r);
-  m.max_bits_on_edge_round = snap::get_u64(r);
-  m.max_logical_on_edge_round = snap::get_u64(r);
-  m.cut_bits = snap::get_u64(r);
-  m.dropped_messages = snap::get_u64(r);
-  m.duplicated_messages = snap::get_u64(r);
-  m.delayed_messages = snap::get_u64(r);
-  m.crashed_node_rounds = snap::get_u64(r);
+void walk(auto io, Is<RunMetrics> auto& m) {
+  io.varuint(m.rounds);
+  io.varuint(m.total_physical_messages);
+  io.varuint(m.total_logical_messages);
+  io.varuint(m.total_bits);
+  io.varuint(m.max_bits_on_edge_round);
+  io.varuint(m.max_logical_on_edge_round);
+  io.varuint(m.cut_bits);
+  io.varuint(m.dropped_messages);
+  io.varuint(m.duplicated_messages);
+  io.varuint(m.delayed_messages);
+  io.varuint(m.crashed_node_rounds);
   // Each RoundStats is five varuints of >= 7 bits each.
-  const std::uint64_t rounds = snap::get_count(r, 35);
-  m.per_round.reserve(rounds);
-  for (std::uint64_t i = 0; i < rounds; ++i) {
-    RoundStats s;
-    s.physical_messages = snap::get_u64(r);
-    s.logical_messages = snap::get_u64(r);
-    s.bits = snap::get_u64(r);
-    s.max_bits_on_edge = snap::get_u64(r);
-    s.max_logical_on_edge = snap::get_u64(r);
-    m.per_round.push_back(s);
-  }
-  return m;
-}
-
-/// Serializes one pending message: sender id, bit length, raw payload
-/// bits.  Works for both storage modes — arena views are read through
-/// reader() and thus materialize into the snapshot byte-for-byte.
-void put_message(BitWriter& w, const InboundMessage& msg) {
-  snap::put_u64(w, msg.from());
-  snap::put_u64(w, msg.bit_size());
-  BitReader payload = msg.reader();
-  std::size_t left = msg.bit_size();
-  while (left > 0) {
-    const unsigned chunk = left >= 64 ? 64u : static_cast<unsigned>(left);
-    w.write(payload.read(chunk), chunk);
-    left -= chunk;
+  io.length(35, m.per_round);
+  for (auto& s : m.per_round) {
+    walk(io, s);
   }
 }
 
-/// Restores one pending message for destination `to` as an *owning*
-/// InboundMessage (the arena it once viewed is gone).  Validates the
-/// sender is a real neighbor — a corrupt `from` would otherwise plant a
-/// message the CONGEST topology cannot produce.
-InboundMessage get_message(BitReader& r, const Graph& g, NodeId to) {
-  const std::uint64_t from = snap::get_u64(r);
-  if (from >= g.num_nodes() ||
-      !g.has_edge(static_cast<NodeId>(from), to)) {
-    throw SnapshotError("corrupt snapshot: message for node " +
-                        std::to_string(to) + " claims non-neighbor sender " +
-                        std::to_string(from));
+/// Saving: the program itself, whose own walk is nested.  Loading: its
+/// blob, staged until run() has a program to load it into.
+const Snapshottable& program_state(const std::unique_ptr<NodeProgram>& program,
+                                   NodeId v) {
+  const auto* snapshottable =
+      dynamic_cast<const Snapshottable*>(program.get());
+  if (snapshottable == nullptr) {
+    throw SnapshotError("cannot checkpoint: program on node " +
+                        std::to_string(v) +
+                        " does not implement Snapshottable");
   }
-  const std::uint64_t bits = snap::get_u64(r);
-  if (bits > r.remaining()) {
-    throw SnapshotError("corrupt snapshot: truncated message payload");
+  return *snapshottable;
+}
+BitWriter& program_state(BitWriter& staged, NodeId) { return staged; }
+
+void walk_engine(auto io, const Graph& g, const NetworkConfig& config,
+                 auto& round, auto& stall_rounds, auto& metrics,
+                 auto& mailboxes, auto& delayed, auto& programs) {
+  io.expect(graph_fingerprint(g),
+            "snapshot rejected: it was taken on a different graph");
+  io.expect(fault_fingerprint(config.faults),
+            "snapshot rejected: it was taken under a different fault plan");
+  io.expect(config.bits_per_edge_per_round,
+            "snapshot rejected: it was taken under a different CONGEST budget");
+  io.expect(config.record_per_round,
+            "snapshot rejected: record_per_round differs from the original "
+            "run (per-round metrics would diverge from the uninterrupted run)");
+  io.varuint(round);
+  io.varuint(stall_rounds);
+  walk(io, metrics);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (auto* box : {&mailboxes[v], &delayed[v]}) {
+      // A message is at least a varuint sender + varuint length (7 bits
+      // each).
+      io.length(14, *box);
+      for (auto& message : *box) {
+        walk(io, message);
+      }
+    }
   }
-  BitWriter payload;
-  payload.reserve_bits(static_cast<std::size_t>(bits));
-  std::uint64_t left = bits;
-  while (left > 0) {
-    const unsigned chunk = left >= 64 ? 64u : static_cast<unsigned>(left);
-    payload.write(r.read(chunk), chunk);
-    left -= chunk;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    io.nested(program_state(programs[v], v), "program");
   }
-  return InboundMessage(static_cast<NodeId>(from), payload.bytes(),
-                        static_cast<std::size_t>(bits));
 }
 
 }  // namespace
@@ -273,17 +255,12 @@ InboundMessage get_message(BitReader& r, const Graph& g, NodeId to) {
 /// Everything load_snapshot() parses, staged until the next run()
 /// consumes it at its top-of-round boundary.
 struct Network::ResumeState {
-  struct Blob {
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t bits = 0;
-  };
-
   std::uint64_t round = 0;
   std::uint64_t stall_rounds = 0;
   RunMetrics metrics;
   std::vector<std::vector<InboundMessage>> mailboxes;
   std::vector<std::vector<InboundMessage>> delayed;
-  std::vector<Blob> programs;
+  std::vector<BitWriter> programs;
 };
 
 Network::~Network() = default;
@@ -349,109 +326,60 @@ void Network::load_snapshot(std::istream& in) {
   const SnapshotPayload payload = read_snapshot_container(in);
   auto state = std::make_unique<ResumeState>();
   const NodeId n = graph_->num_nodes();
-  try {
-    BitReader r = payload.reader();
-    if (snap::get_u64(r) != graph_fingerprint(*graph_)) {
-      throw SnapshotError(
-          "snapshot rejected: it was taken on a different graph");
-    }
-    if (snap::get_u64(r) != fault_fingerprint(config_.faults)) {
-      throw SnapshotError(
-          "snapshot rejected: it was taken under a different fault plan");
-    }
-    if (snap::get_u64(r) != config_.bits_per_edge_per_round) {
-      throw SnapshotError(
-          "snapshot rejected: it was taken under a different CONGEST budget");
-    }
-    if (snap::get_bool(r) != config_.record_per_round) {
-      throw SnapshotError(
-          "snapshot rejected: record_per_round differs from the original "
-          "run (per-round metrics would diverge from the uninterrupted run)");
-    }
-    state->round = snap::get_u64(r);
-    if (state->round == 0) {
-      throw SnapshotError(
-          "corrupt snapshot: claims a round-0 boundary, which no writer "
-          "produces");
-    }
-    state->stall_rounds = snap::get_u64(r);
-    state->metrics = get_metrics(r);
-    state->mailboxes.resize(n);
-    state->delayed.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-      // A message is at least a varuint sender + varuint length (7 bits
-      // each).
-      const std::uint64_t inbox_count = snap::get_count(r, 14);
-      state->mailboxes[v].reserve(inbox_count);
-      for (std::uint64_t i = 0; i < inbox_count; ++i) {
-        state->mailboxes[v].push_back(get_message(r, *graph_, v));
-      }
-      const std::uint64_t delayed_count = snap::get_count(r, 14);
-      state->delayed[v].reserve(delayed_count);
-      for (std::uint64_t i = 0; i < delayed_count; ++i) {
-        state->delayed[v].push_back(get_message(r, *graph_, v));
+  state->mailboxes.resize(n);
+  state->delayed.resize(n);
+  state->programs.resize(n);
+  BitReader r = payload.reader();
+  fields::read_fields<fields::SnapshotFail>(r, true, [&](auto io) {
+    walk_engine(io, *graph_, config_, state->round, state->stall_rounds,
+                state->metrics, state->mailboxes, state->delayed,
+                state->programs);
+  });
+  if (state->round == 0) {
+    throw SnapshotError(
+        "corrupt snapshot: claims a round-0 boundary, which no writer "
+        "produces");
+  }
+  // A corrupt sender would plant a message the CONGEST topology cannot
+  // produce.
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto* box : {&state->mailboxes[v], &state->delayed[v]}) {
+      for (const InboundMessage& message : *box) {
+        if (message.from() >= n || !graph_->has_edge(message.from(), v)) {
+          throw SnapshotError("corrupt snapshot: message for node " +
+                              std::to_string(v) +
+                              " claims non-neighbor sender " +
+                              std::to_string(message.from()));
+        }
       }
     }
-    state->programs.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-      state->programs[v].bits = snap::get_bits(r, state->programs[v].bytes);
-    }
-    if (r.remaining() != 0) {
-      throw SnapshotError("corrupt snapshot: " +
-                          std::to_string(r.remaining()) +
-                          " trailing bits after the last section");
-    }
-  } catch (const InvariantError& e) {
-    // The bit readers throw InvariantError past-the-end; on this path
-    // that means malformed input, not a library bug.
-    throw SnapshotError(std::string("corrupt snapshot: ") + e.what());
   }
   pending_resume_ = std::move(state);
 }
 
 BitWriter Network::encode_snapshot(
     std::uint64_t round, std::uint64_t stall_rounds,
-    const std::vector<std::vector<InboundMessage>>& mailboxes,
-    const std::vector<std::vector<InboundMessage>>& delayed,
+    std::vector<std::vector<InboundMessage>>& mailboxes,
+    std::vector<std::vector<InboundMessage>>& delayed,
     const std::vector<std::unique_ptr<NodeProgram>>& programs) const {
-  BitWriter w;
-  snap::put_u64(w, graph_fingerprint(*graph_));
-  snap::put_u64(w, fault_fingerprint(config_.faults));
-  snap::put_u64(w, config_.bits_per_edge_per_round);
-  snap::put_bool(w, config_.record_per_round);
-  snap::put_u64(w, round);
-  snap::put_u64(w, stall_rounds);
-  put_metrics(w, metrics_);
-  const NodeId n = graph_->num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    snap::put_u64(w, mailboxes[v].size());
-    for (const InboundMessage& msg : mailboxes[v]) {
-      put_message(w, msg);
-    }
-    snap::put_u64(w, delayed[v].size());
-    for (const InboundMessage& msg : delayed[v]) {
-      put_message(w, msg);
+  // The walk writes owning messages; the arena views become copies.
+  for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
+    for (auto* box : {&mailboxes[v], &delayed[v]}) {
+      for (InboundMessage& message : *box) {
+        message.own();
+      }
     }
   }
-  for (NodeId v = 0; v < n; ++v) {
-    const auto* snapshottable =
-        dynamic_cast<const Snapshottable*>(programs[v].get());
-    if (snapshottable == nullptr) {
-      throw SnapshotError(
-          "cannot checkpoint: program on node " + std::to_string(v) +
-          " does not implement Snapshottable");
-    }
-    BitWriter blob;
-    snapshottable->save_state(blob);
-    snap::put_bits(w, blob.data(), blob.bit_size());
-  }
-  return w;
+  return fields::write_fields([&](auto io) {
+    walk_engine(io, *graph_, config_, round, stall_rounds, metrics_,
+                mailboxes, delayed, programs);
+  });
 }
 
 bool Network::checkpoint_or_halt(
     std::uint64_t round, std::uint64_t start_round, std::uint64_t stall_rounds,
-    const std::vector<std::vector<InboundMessage>>& mailboxes,
-    const std::vector<std::vector<InboundMessage>>& delayed,
+    std::vector<std::vector<InboundMessage>>& mailboxes,
+    std::vector<std::vector<InboundMessage>>& delayed,
     const std::vector<std::unique_ptr<NodeProgram>>& programs) {
   // Neither fires at the boundary the run started from: round 0 would
   // snapshot the trivial initial state, and a resumed run re-entering its
@@ -499,8 +427,7 @@ std::uint64_t Network::apply_pending_resume(
                           std::to_string(v) +
                           " does not implement Snapshottable");
     }
-    BitReader r(state->programs[v].bytes.data(),
-                static_cast<std::size_t>(state->programs[v].bits));
+    BitReader r(state->programs[v].data(), state->programs[v].bit_size());
     try {
       snapshottable->load_state(r);
     } catch (const InvariantError& e) {

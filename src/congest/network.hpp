@@ -242,10 +242,11 @@ class Network {
   RunMetrics run_legacy(std::vector<std::unique_ptr<NodeProgram>>& programs);
 
   /// Serializes the complete engine state at the top-of-round boundary.
+  /// Pending messages are turned into their owning form first.
   BitWriter encode_snapshot(
       std::uint64_t round, std::uint64_t stall_rounds,
-      const std::vector<std::vector<InboundMessage>>& mailboxes,
-      const std::vector<std::vector<InboundMessage>>& delayed,
+      std::vector<std::vector<InboundMessage>>& mailboxes,
+      std::vector<std::vector<InboundMessage>>& delayed,
       const std::vector<std::unique_ptr<NodeProgram>>& programs) const;
 
   /// The checkpoint/halt hook shared by both engines.  Returns true when
@@ -253,8 +254,8 @@ class Network {
   bool checkpoint_or_halt(
       std::uint64_t round, std::uint64_t start_round,
       std::uint64_t stall_rounds,
-      const std::vector<std::vector<InboundMessage>>& mailboxes,
-      const std::vector<std::vector<InboundMessage>>& delayed,
+      std::vector<std::vector<InboundMessage>>& mailboxes,
+      std::vector<std::vector<InboundMessage>>& delayed,
       const std::vector<std::unique_ptr<NodeProgram>>& programs);
 
   /// Applies a staged ResumeState: restores metrics/messages/programs and

@@ -11,9 +11,11 @@
 // learned through messages.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/bit_io.hpp"
@@ -29,6 +31,8 @@ namespace congestbc {
 /// the reliable transport's reassembled batches, the legacy engine).
 class InboundMessage {
  public:
+  InboundMessage() = default;
+
   /// Owning: the message keeps the bytes alive itself.
   InboundMessage(NodeId from, std::vector<std::uint8_t> bytes,
                  std::size_t bits)
@@ -47,11 +51,29 @@ class InboundMessage {
     return BitReader(data_ != nullptr ? data_ : owned_.data(), bits_);
   }
 
+  /// Turns a view into the owning form (a no-op on an owning message).
+  void own() {
+    if (data_ != nullptr) {
+      owned_.assign(data_, data_ + (bits_ + 7) / 8);
+      data_ = nullptr;
+    }
+  }
+
+  /// The snapshot layout of a pending message (the engine section,
+  /// congest/network.cpp): sender, then the payload as a bit block.
+  /// Saving needs the owning form (own()); loading builds it.
+  template <class IO, class Self>
+    requires std::same_as<std::remove_const_t<Self>, InboundMessage>
+  friend void walk(IO io, Self& message) {
+    io.varuint(message.from_);
+    io.block(message.owned_, message.bits_, "message");
+  }
+
  private:
-  NodeId from_;
+  NodeId from_ = 0;
   std::vector<std::uint8_t> owned_;       // empty in view mode
   const std::uint8_t* data_ = nullptr;    // null in owning mode
-  std::size_t bits_;
+  std::size_t bits_ = 0;
 };
 
 /// The per-round window a program sees (provided by the Network).

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/bit_io.hpp"
 #include "congest/network.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 
 namespace congestbc {
 
@@ -298,94 +299,53 @@ void ReliableProgram::on_round(NodeContext& ctx) {
   send_frames(ctx);
 }
 
-void ReliableProgram::save_state(BitWriter& w) const {
-  snap::put_bool(w, initialized_);
-  snap::put_bool(w, quiet_);
-  snap::put_u64(w, executed_);
-  snap::put_u64(w, retransmissions_);
-  snap::put_u64(w, peers_.size());
-  for (const PeerState& p : peers_) {
-    snap::put_u64(w, p.id);
-    snap::put_u64(w, p.known_prefix);
-    snap::put_u64(w, p.peer_produced);
-    snap::put_bool(w, p.peer_quiet);
-    snap::put_u64(w, p.stored.size());
-    for (const auto& [seq, batch] : p.stored) {
-      snap::put_u64(w, seq);
-      snap::put_bits(w, batch.first.data(), batch.second);
+template <class IO, class Self>
+void ReliableProgram::walk(IO io, Self& self) {
+  io.flag(self.initialized_);
+  io.flag(self.quiet_);
+  io.varuint(self.executed_);
+  io.varuint(self.retransmissions_);
+  io.length(20, self.peers_);
+  for (auto& p : self.peers_) {
+    io.varuint(p.id);
+    io.varuint(p.known_prefix);
+    io.varuint(p.peer_produced);
+    io.flag(p.peer_quiet);
+    io.entries(
+        14, p.stored,
+        [io](auto& seq, auto& batch) mutable {
+          io.varuint(seq);
+          io.block(batch.first, batch.second, "stored batch");
+        },
+        "snapshot stores one reliable-transport batch twice");
+    io.length(15, p.unacked);
+    for (auto& batch : p.unacked) {
+      io.varuint(batch.seq);
+      io.block(batch.bytes, batch.bits, "unacked batch");
+      io.flag(batch.transmitted);
     }
-    snap::put_u64(w, p.unacked.size());
-    for (const OutBatch& batch : p.unacked) {
-      snap::put_u64(w, batch.seq);
-      snap::put_bits(w, batch.bytes.data(), batch.bits);
-      snap::put_bool(w, batch.transmitted);
-    }
-    snap::put_u64(w, p.acked);
-    snap::put_bool(w, p.polled_needy);
+    io.varuint(p.acked);
+    io.flag(p.polled_needy);
   }
-  const auto* inner_snapshottable =
-      dynamic_cast<const Snapshottable*>(inner_.get());
-  if (inner_snapshottable == nullptr) {
+  auto* inner = dynamic_cast<std::conditional_t<
+      std::is_const_v<Self>, const Snapshottable*, Snapshottable*>>(
+      self.inner_.get());
+  if (inner == nullptr) {
     throw SnapshotError(
-        "cannot checkpoint: the program wrapped by ReliableProgram does not "
+        "cannot snapshot: the program wrapped by ReliableProgram does not "
         "implement Snapshottable");
   }
-  BitWriter blob;
-  inner_snapshottable->save_state(blob);
-  snap::put_bits(w, blob.data(), blob.bit_size());
+  io.nested(*inner, "inner-program");
+}
+
+void ReliableProgram::save_state(BitWriter& w) const {
+  fields::Writer io(w);
+  walk(io, *this);
 }
 
 void ReliableProgram::load_state(BitReader& r) {
-  initialized_ = snap::get_bool(r);
-  quiet_ = snap::get_bool(r);
-  executed_ = snap::get_u64(r);
-  retransmissions_ = snap::get_u64(r);
-  const std::uint64_t num_peers = snap::get_count(r, 20);
-  peers_.clear();
-  peers_.reserve(num_peers);
-  for (std::uint64_t i = 0; i < num_peers; ++i) {
-    PeerState p;
-    p.id = static_cast<NodeId>(snap::get_u64(r));
-    p.known_prefix = snap::get_u64(r);
-    p.peer_produced = snap::get_u64(r);
-    p.peer_quiet = snap::get_bool(r);
-    const std::uint64_t num_stored = snap::get_count(r, 14);
-    for (std::uint64_t s = 0; s < num_stored; ++s) {
-      const std::uint64_t seq = snap::get_u64(r);
-      std::vector<std::uint8_t> bytes;
-      const std::uint64_t bits = snap::get_bits(r, bytes);
-      CBC_CHECK(
-          p.stored
-              .emplace(seq, std::make_pair(std::move(bytes),
-                                           static_cast<std::size_t>(bits)))
-              .second,
-          "snapshot stores one reliable-transport batch twice");
-    }
-    const std::uint64_t num_unacked = snap::get_count(r, 15);
-    for (std::uint64_t s = 0; s < num_unacked; ++s) {
-      OutBatch batch;
-      batch.seq = snap::get_u64(r);
-      const std::uint64_t bits = snap::get_bits(r, batch.bytes);
-      batch.bits = static_cast<std::size_t>(bits);
-      batch.transmitted = snap::get_bool(r);
-      p.unacked.push_back(std::move(batch));
-    }
-    p.acked = snap::get_u64(r);
-    p.polled_needy = snap::get_bool(r);
-    peers_.push_back(std::move(p));
-  }
-  auto* inner_snapshottable = dynamic_cast<Snapshottable*>(inner_.get());
-  if (inner_snapshottable == nullptr) {
-    throw SnapshotError(
-        "cannot resume: the program wrapped by ReliableProgram does not "
-        "implement Snapshottable");
-  }
-  std::vector<std::uint8_t> blob;
-  const std::uint64_t blob_bits = snap::get_bits(r, blob);
-  BitReader inner_reader(blob.data(), static_cast<std::size_t>(blob_bits));
-  inner_snapshottable->load_state(inner_reader);
-  CBC_CHECK(inner_reader.remaining() == 0,
-            "snapshot inner-program blob has unconsumed bits");
+  fields::Reader<fields::SnapshotFail> io(r);
+  walk(io, *this);
 }
 
 }  // namespace congestbc

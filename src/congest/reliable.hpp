@@ -81,12 +81,13 @@ class ReliableProgram final : public NodeProgram, public Snapshottable {
   void on_round(NodeContext& ctx) override;
   bool done() const override;
 
-  /// Checkpoint support: the complete synchronizer state — per-peer ARQ
-  /// windows (stored batches, unacked queue, cumulative acks), the
-  /// alpha-synchronizer counters (executed/quiet), and the wrapped inner
-  /// program as a nested length-prefixed blob (decorator convention,
+  /// Checkpoint support: one walk (reliable.cpp) covers the complete
+  /// synchronizer state — per-peer ARQ windows (stored batches, unacked
+  /// queue, cumulative acks), the alpha-synchronizer counters
+  /// (executed/quiet), and the wrapped inner program as a nested
+  /// length-prefixed blob (decorator convention,
   /// snapshot/snapshottable.hpp).  The inner program must itself be
-  /// Snapshottable.
+  /// Snapshottable; a load rejects a batch stored twice.
   void save_state(BitWriter& w) const override;
   void load_state(BitReader& r) override;
 
@@ -145,6 +146,9 @@ class ReliableProgram final : public NodeProgram, public Snapshottable {
   void parse_frame(PeerState& p, const InboundMessage& message);
   void maybe_execute_inner_round(const NodeContext& ctx);
   void send_frames(NodeContext& ctx);
+  /// The snapshot layout (Self = [const] ReliableProgram).
+  template <class IO, class Self>
+  static void walk(IO io, Self& self);
 
   std::unique_ptr<NodeProgram> inner_;
   std::uint64_t inner_budget_bits_;

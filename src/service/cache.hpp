@@ -28,6 +28,11 @@ struct CachedResult {
   std::vector<std::uint8_t> block_bytes;
   std::uint64_t block_bits = 0;
   std::uint8_t run_status = 0;  ///< congestbc::RunStatus of the execution
+  /// The execution's fingerprint and resolved backend as a worker
+  /// reported them; the router's result cache answers its hits with
+  /// these (the daemon keys its cache by fingerprint and leaves them 0).
+  std::uint64_t fingerprint = 0;
+  std::uint8_t backend = 0;
 };
 
 /// Classic LRU over shared_ptr values (shared so a reply being written

@@ -17,7 +17,7 @@
 #include "service/client.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/fingerprint.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 
 namespace congestbc::service {
 
@@ -27,6 +27,41 @@ namespace {
 
 /// Version of the spool file payloads (job-*.req, res-*.res).
 constexpr std::uint64_t kSpoolVersion = 1;
+
+// The spool payloads, each one walk (snapshot/field_walk.hpp) inside a
+// CBCSNAP1 container.  A job file holds the job's fingerprint and its
+// canonical SUBMIT as an encoded request; a result file repeats the
+// fingerprint its name carries, then the run status and the encoded
+// result block.
+
+void walk_spooled_job(auto io, auto& fingerprint, auto& request) {
+  io.expect(kSpoolVersion, "spool version mismatch");
+  io.varuint(fingerprint);
+  io.block(request, "request");
+}
+
+void walk_spooled_result(auto io, const std::uint64_t& fingerprint,
+                         auto& result) {
+  io.expect(kSpoolVersion, "spool version mismatch");
+  io.expect(fingerprint, "fingerprint mismatch");
+  io.bounded(result.run_status, 0,
+             static_cast<std::uint8_t>(RunStatus::kError), "run status");
+  io.block(result.block_bytes, result.block_bits, "result");
+}
+
+void write_spool_file(const fs::path& path, const auto& walk) {
+  const BitWriter payload = fields::write_fields(walk);
+  write_file_atomic(path.string(), [&payload](std::ostream& out) {
+    write_snapshot_container(out, payload);
+  });
+}
+
+/// Throws SnapshotError on a damaged container or payload.
+void read_spool_file(std::istream& in, const auto& walk) {
+  const SnapshotPayload container = read_snapshot_container(in);
+  BitReader r = container.reader();
+  fields::read_fields<fields::SnapshotFail>(r, true, walk);
+}
 
 std::string fingerprint_hex(std::uint64_t fp) {
   char buf[17];
@@ -1600,15 +1635,10 @@ void Daemon::retire_job_locked(const Job& job) {
 }
 
 void Daemon::spool_write_job(const Job& job) const {
-  BitWriter payload;
-  payload.write_varuint(kSpoolVersion);
-  snap::put_u64(payload, job.fingerprint);
   const BitWriter request = encode_request(make_submit(job.request));
-  snap::put_bits(payload, request.data(), request.bit_size());
-  write_file_atomic(
-      (fs::path(jobs_dir()) / ("job-" + fingerprint_hex(job.fingerprint) + ".req"))
-          .string(),
-      [&payload](std::ostream& out) { write_snapshot_container(out, payload); });
+  write_spool_file(
+      fs::path(jobs_dir()) / ("job-" + fingerprint_hex(job.fingerprint) + ".req"),
+      [&](auto io) { walk_spooled_job(io, job.fingerprint, request); });
 }
 
 void Daemon::spool_remove_job(const Job& job) const {
@@ -1624,17 +1654,10 @@ void Daemon::persist_cache_entry(std::uint64_t fingerprint,
   if (config_.spool_dir.empty()) {
     return;
   }
-  BitWriter payload;
-  payload.write_varuint(kSpoolVersion);
-  snap::put_u64(payload, fingerprint);
-  snap::put_u64(payload, result.run_status);
-  snap::put_bits(payload, result.block_bytes.data(),
-                 static_cast<std::size_t>(result.block_bits));
   try {
-    write_file_atomic(
-        (fs::path(cache_dir()) / ("res-" + fingerprint_hex(fingerprint) + ".res"))
-            .string(),
-        [&payload](std::ostream& out) { write_snapshot_container(out, payload); });
+    write_spool_file(
+        fs::path(cache_dir()) / ("res-" + fingerprint_hex(fingerprint) + ".res"),
+        [&](auto io) { walk_spooled_result(io, fingerprint, result); });
   } catch (const std::exception&) {
     // Warm-cache persistence is best-effort.
   }
@@ -1842,18 +1865,10 @@ void Daemon::recover_spool() {
       return false;
     }
     try {
-      const SnapshotPayload payload = read_snapshot_container(in);
-      BitReader r = payload.reader();
-      if (r.read_varuint() != kSpoolVersion) {
-        throw SnapshotError("spool version mismatch");
-      }
-      if (snap::get_u64(r) != fp) {
-        throw SnapshotError("fingerprint mismatch");
-      }
-      const std::uint64_t status = snap::get_u64(r);
       auto result = std::make_shared<CachedResult>();
-      result->block_bits = snap::get_bits(r, result->block_bytes);
-      result->run_status = static_cast<std::uint8_t>(status);
+      read_spool_file(in, [&](auto io) {
+        walk_spooled_result(io, fp, *result);
+      });
       cache_.put(fp, std::move(result));
       return true;
     } catch (const std::exception&) {
@@ -1902,13 +1917,11 @@ void Daemon::recover_spool() {
     }
     try {
       std::ifstream in(entry.path(), std::ios::binary);
-      const SnapshotPayload container = read_snapshot_container(in);
-      BitReader r = container.reader();
-      if (r.read_varuint() != kSpoolVersion) {
-        quarantine_path(entry.path().string());
-        continue;
-      }
-      const std::uint64_t fp = snap::get_u64(r);
+      std::uint64_t fp = 0;
+      BitWriter request_bits;
+      read_spool_file(in, [&](auto io) {
+        walk_spooled_job(io, fp, request_bits);
+      });
       if (journal_retired.count(fp) != 0 && journal_live.count(fp) == 0) {
         // The journal says this job already finished; the crash landed in
         // the window between its TERMINAL record and the unlink.  Remove,
@@ -1917,9 +1930,8 @@ void Daemon::recover_spool() {
         fs::remove_all(ckpt_dir(fp), ec);
         continue;
       }
-      FramePayload request_payload;
-      request_payload.bits = snap::get_bits(r, request_payload.bytes);
-      const Request request = decode_request(request_payload);
+      const Request request = decode_request(
+          FramePayload{request_bits.bytes(), request_bits.bit_size()});
       if (request.type != MsgType::kSubmit) {
         quarantine_path(entry.path().string());
         continue;

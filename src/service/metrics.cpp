@@ -20,19 +20,43 @@ void ServiceMetrics::record_latency_ms(double ms) {
   latency_next_ = (latency_next_ + 1) % kLatencyWindow;
 }
 
+namespace {
+
+/// Percentile p of n samples: linear interpolation between the two
+/// order statistics bracketing rank p/100 * (n - 1).
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(double p, std::size_t n) {
+  const double rank =
+      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+double interpolate(double low, double high, double frac) {
+  return low + (high - low) * frac;
+}
+
+}  // namespace
+
 double ServiceMetrics::latency_percentile(double p) const {
   if (latencies_.empty()) {
     return 0.0;
   }
-  std::vector<double> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  // Linear interpolation between the two bracketing order statistics.
-  const double rank = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  // Selects the two order statistics instead of sorting the window: the
+  // daemon asks under its scheduler mutex on every auto or deadline
+  // SUBMIT.
+  std::vector<double> window = latencies_;
+  const Rank r = rank_of(p, window.size());
+  const auto lo = window.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(window.begin(), lo, window.end());
+  const double high =
+      r.hi == r.lo ? *lo : *std::min_element(lo + 1, window.end());
+  return interpolate(*lo, high, r.frac);
 }
 
 void ServiceMetrics::record_job_rounds(std::uint64_t rounds,
@@ -58,9 +82,19 @@ StatsReply ServiceMetrics::snapshot() const {
   s.qps = s.uptime_ms == 0 ? 0.0
                            : static_cast<double>(s.submits) * 1000.0 /
                                  static_cast<double>(s.uptime_ms);
-  s.latency_p50_ms = latency_percentile(50.0);
-  s.latency_p90_ms = latency_percentile(90.0);
-  s.latency_p99_ms = latency_percentile(99.0);
+  // One sorted copy serves all three percentiles.
+  std::vector<double> sorted = latencies_;
+  std::sort(sorted.begin(), sorted.end());
+  const auto percentile = [&sorted](double p) {
+    if (sorted.empty()) {
+      return 0.0;
+    }
+    const Rank r = rank_of(p, sorted.size());
+    return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
+  };
+  s.latency_p50_ms = percentile(50.0);
+  s.latency_p90_ms = percentile(90.0);
+  s.latency_p99_ms = percentile(99.0);
   return s;
 }
 

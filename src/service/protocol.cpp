@@ -1,15 +1,11 @@
 #include "service/protocol.hpp"
 
-#include <bit>
-#include <concepts>
 #include <cstring>
-#include <limits>
-#include <type_traits>
 
 #include "algo/bc_pipeline.hpp"
 #include "common/assert.hpp"
 #include "core/runner.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/field_walk.hpp"
 
 namespace congestbc::service {
 
@@ -19,201 +15,29 @@ constexpr char kMagic[4] = {'C', 'B', 'C', 'P'};
 constexpr std::size_t kHeaderBytes = 18;
 constexpr std::size_t kChecksumOffset = 10;
 
-[[noreturn]] void malformed(const std::string& message) {
-  throw ProtocolError(ProtoError::kMalformed, message);
-}
-
 // ---- the field walk ----------------------------------------------------
 //
 // Each message's layout is written once, as a walk over its fields in
-// wire order, templated on the direction: Writer emits each field into a
-// BitWriter, Reader reads it back and checks it.  All reads funnel
-// through Reader, so every overrun, hostile length, unknown enum value or
-// integer too wide for its field surfaces as ProtocolError, never as UB,
-// a silent truncation or an unbounded allocation.  BitReader itself
-// throws InvariantError past the end; decode() turns that into
-// kMalformed.
+// wire order, driven by the shared Writer/Reader (snapshot/field_walk.hpp).
+// A bad field surfaces as ProtocolError: an unknown message type as
+// kUnknownType, everything else as kMalformed.
 
-class Writer {
- public:
-  explicit Writer(BitWriter& w) : w_(w) {}
-
-  template <std::unsigned_integral T>
-  void varuint(const T& value) {
-    w_.write_varuint(value);
+struct WireFail {
+  [[noreturn]] static void malformed(const std::string& what) {
+    throw ProtocolError(ProtoError::kMalformed, what);
   }
-  void fixed64(const std::uint64_t& value) { w_.write(value, 64); }
-  void flag(const bool& value) { w_.write_bool(value); }
-  /// A double as its raw IEEE-754 bits (the STATS gauges).
-  void raw_double(const double& value) {
-    w_.write(std::bit_cast<std::uint64_t>(value), 64);
+  [[noreturn]] static void unknown_type(const std::string& what) {
+    throw ProtocolError(ProtoError::kUnknownType, what);
   }
-  /// Result-block values, bit-exact through the snapshot field codecs.
-  void real(const double& value) { snap::put_double(w_, value); }
-  void real(const long double& value) { snap::put_long_double(w_, value); }
-
-  /// An enum or code that must lie in [first, last], as a varuint.
-  template <class T>
-  void bounded(const T& value, std::type_identity_t<T>,
-               std::type_identity_t<T>, const char*) {
-    w_.write_varuint(static_cast<std::uint64_t>(value));
-  }
-
-  /// The message type; a type of the other direction is a caller bug.
-  void type(const MsgType& value, MsgType first, MsgType last, const char*) {
-    CBC_EXPECTS(value >= first && value <= last,
-                "message type belongs to the other direction");
-    w_.write_varuint(static_cast<std::uint64_t>(value));
-  }
-
-  void text(const std::string& s) {
-    w_.write_varuint(s.size());
-    for (const char c : s) {
-      w_.write(static_cast<std::uint8_t>(c), 8);
-    }
-  }
-
-  /// Opaque byte blob (snapshot containers): varuint byte count + bytes.
-  void blob(const std::vector<std::uint8_t>& bytes) {
-    w_.write_varuint(bytes.size());
-    for (const std::uint8_t b : bytes) {
-      w_.write(b, 8);
-    }
-  }
-
-  /// An encoded result block (RESULT, LOOKUP and MIGRATE carry one):
-  /// varuint bit length + exactly that many bits, no byte padding.
-  void block(const std::vector<std::uint8_t>& bytes, const std::uint64_t& bits,
-             const char*) {
-    w_.write_varuint(bits);
-    w_.append(bytes.data(), static_cast<std::size_t>(bits));
-  }
-
-  /// The element count of one or more parallel arrays, which must agree.
-  template <class V, class... Rest>
-  std::size_t length(unsigned, const V& first, const Rest&... rest) {
-    CBC_EXPECTS(((rest.size() == first.size()) && ...),
-                "parallel arrays must agree on their length");
-    w_.write_varuint(first.size());
-    return first.size();
-  }
-
- private:
-  BitWriter& w_;
 };
 
-class Reader {
- public:
-  explicit Reader(BitReader& r) : r_(r) {}
-
-  /// Rejects a value too wide for its field instead of truncating it.
-  template <std::unsigned_integral T>
-  void varuint(T& value) {
-    const std::uint64_t raw = r_.read_varuint();
-    if (raw > std::numeric_limits<T>::max()) {
-      malformed("value " + std::to_string(raw) + " exceeds its " +
-                std::to_string(std::numeric_limits<T>::digits) +
-                "-bit field");
-    }
-    value = static_cast<T>(raw);
-  }
-  void fixed64(std::uint64_t& value) { value = r_.read(64); }
-  void flag(bool& value) { value = r_.read_bool(); }
-  void raw_double(double& value) {
-    value = std::bit_cast<double>(r_.read(64));
-  }
-  void real(double& value) { value = snap::get_double(r_); }
-  void real(long double& value) { value = snap::get_long_double(r_); }
-
-  template <class T>
-  void bounded(T& value, std::type_identity_t<T> first,
-               std::type_identity_t<T> last, const char* what) {
-    const std::uint64_t raw = r_.read_varuint();
-    if (raw < static_cast<std::uint64_t>(first) ||
-        raw > static_cast<std::uint64_t>(last)) {
-      malformed(std::string("unknown ") + what + " " + std::to_string(raw));
-    }
-    value = static_cast<T>(raw);
-  }
-
-  void type(MsgType& value, MsgType first, MsgType last, const char* what) {
-    const std::uint64_t raw = r_.read_varuint();
-    if (raw < static_cast<std::uint64_t>(first) ||
-        raw > static_cast<std::uint64_t>(last)) {
-      throw ProtocolError(ProtoError::kUnknownType,
-                          std::string("unknown ") + what + " type " +
-                              std::to_string(raw));
-    }
-    value = static_cast<MsgType>(raw);
-  }
-
-  void text(std::string& s) {
-    s.resize(checked_size(r_.read_varuint(), 8, "string length"));
-    for (char& c : s) {
-      c = static_cast<char>(r_.read(8));
-    }
-  }
-
-  void blob(std::vector<std::uint8_t>& bytes) {
-    bytes.resize(checked_size(r_.read_varuint(), 8, "byte blob length"));
-    for (std::uint8_t& b : bytes) {
-      b = static_cast<std::uint8_t>(r_.read(8));
-    }
-  }
-
-  /// `what` names the carrying message in the error.
-  void block(std::vector<std::uint8_t>& bytes, std::uint64_t& bits,
-             const char* what) {
-    bits = r_.read_varuint();
-    if (bits > r_.remaining()) {
-      malformed(std::string(what) + " block length exceeds the payload");
-    }
-    bytes.assign((static_cast<std::size_t>(bits) + 7) / 8, 0);
-    std::uint64_t left = bits;
-    std::size_t byte = 0;
-    while (left > 0) {
-      const unsigned chunk = left >= 8 ? 8u : static_cast<unsigned>(left);
-      bytes[byte++] = static_cast<std::uint8_t>(r_.read(chunk));
-      left -= chunk;
-    }
-  }
-
-  /// Each element needs at least `min_bits_each` bits of payload, so a
-  /// hostile count cannot out-allocate the payload it rode in on.
-  template <class V, class... Rest>
-  std::size_t length(unsigned min_bits_each, V& first, Rest&... rest) {
-    const std::size_t n =
-        checked_size(r_.read_varuint(), min_bits_each, "element count");
-    first.resize(n);
-    (rest.resize(n), ...);
-    return n;
-  }
-
- private:
-  /// A length checked against the payload before anything is allocated.
-  /// Divides instead of multiplying: `size * 8` wraps for hostile lengths
-  /// >= 2^61, which would slip past the check and into the allocation.
-  std::size_t checked_size(std::uint64_t size, unsigned min_bits_each,
-                           const char* what) {
-    if (size > r_.remaining() / min_bits_each) {
-      malformed(std::string(what) + " " + std::to_string(size) +
-                " exceeds the remaining payload");
-    }
-    return static_cast<std::size_t>(size);
-  }
-
-  BitReader& r_;
-};
-
-/// A walk takes its message const (Writer) or mutable (Reader).
-template <class M, class T>
-concept Is = std::same_as<std::remove_const_t<M>, T>;
+using fields::Is;
 
 constexpr auto kLastBackend = static_cast<std::uint8_t>(BackendId::kSampled);
 
 // ---- per-message layouts -------------------------------------------------
 
-void walk(auto& io, Is<SubmitRequest> auto& s) {
+void walk(auto io, Is<SubmitRequest> auto& s) {
   io.bounded(s.source, GraphSource::kInline, GraphSource::kPath,
              "graph source");
   io.text(s.graph);
@@ -232,7 +56,7 @@ void walk(auto& io, Is<SubmitRequest> auto& s) {
   io.varuint(s.sample_seed);
 }
 
-void walk(auto& io, Is<MutateRequest> auto& m) {
+void walk(auto io, Is<MutateRequest> auto& m) {
   io.text(m.ns);
   io.varuint(m.base_version);
   io.text(m.base_graph);
@@ -246,13 +70,13 @@ void walk(auto& io, Is<MutateRequest> auto& m) {
   }
 }
 
-void walk(auto& io, Is<JoinRequest> auto& j) {
+void walk(auto io, Is<JoinRequest> auto& j) {
   io.text(j.worker_id);
   io.text(j.host);
   io.varuint(j.port);
 }
 
-void walk(auto& io, Is<MigrateRequest> auto& m) {
+void walk(auto io, Is<MigrateRequest> auto& m) {
   io.bounded(m.kind, MigrateKind::kResume, MigrateKind::kResult,
              "migrate kind");
   io.fixed64(m.fingerprint);
@@ -264,7 +88,7 @@ void walk(auto& io, Is<MigrateRequest> auto& m) {
   io.block(m.block_bytes, m.block_bits, "migrated");
 }
 
-void walk(auto& io, Is<SubmitReply> auto& m) {
+void walk(auto io, Is<SubmitReply> auto& m) {
   io.bounded(m.disposition, SubmitDisposition::kQueued,
              SubmitDisposition::kDeadline, "submit disposition");
   io.varuint(m.job_id);
@@ -274,7 +98,7 @@ void walk(auto& io, Is<SubmitReply> auto& m) {
   io.flag(m.downgraded);
 }
 
-void walk(auto& io, Is<StatusReply> auto& m) {
+void walk(auto io, Is<StatusReply> auto& m) {
   io.bounded(m.state, JobState::kQueued, JobState::kUnknown, "job state");
   io.varuint(m.job_id);
   io.fixed64(m.fingerprint);
@@ -283,7 +107,7 @@ void walk(auto& io, Is<StatusReply> auto& m) {
   io.text(m.phase_timeline);
 }
 
-void walk(auto& io, Is<ResultReply> auto& m) {
+void walk(auto io, Is<ResultReply> auto& m) {
   io.flag(m.ready);
   io.bounded(m.state, JobState::kQueued, JobState::kUnknown, "job state");
   io.flag(m.from_cache);
@@ -294,17 +118,17 @@ void walk(auto& io, Is<ResultReply> auto& m) {
   }
 }
 
-void walk(auto& io, Is<StatsReply> auto& m) {
+void walk(auto io, Is<StatsReply> auto& m) {
   for (const StatsField& field : kStatsFields) {
     if (field.count != nullptr) {
       io.varuint(m.*field.count);
     } else {
-      io.raw_double(m.*field.real);
+      io.real(m.*field.real);
     }
   }
 }
 
-void walk(auto& io, Is<MutateReply> auto& m) {
+void walk(auto io, Is<MutateReply> auto& m) {
   io.bounded(m.outcome, MutateOutcome::kApplied, MutateOutcome::kDraining,
              "mutate outcome");
   io.varuint(m.version);
@@ -314,7 +138,7 @@ void walk(auto& io, Is<MutateReply> auto& m) {
   io.text(m.detail);
 }
 
-void walk(auto& io, Is<MigrateReply> auto& m) {
+void walk(auto io, Is<MigrateReply> auto& m) {
   io.bounded(m.outcome, MigrateOutcome::kAccepted, MigrateOutcome::kDraining,
              "migrate outcome");
   io.varuint(m.job_id);
@@ -322,7 +146,7 @@ void walk(auto& io, Is<MigrateReply> auto& m) {
   io.text(m.detail);
 }
 
-void walk(auto& io, Is<LookupReply> auto& m) {
+void walk(auto io, Is<LookupReply> auto& m) {
   io.flag(m.found);
   io.fixed64(m.fingerprint);
   if (m.found) {
@@ -330,7 +154,7 @@ void walk(auto& io, Is<LookupReply> auto& m) {
   }
 }
 
-void walk(auto& io, Is<ResultBlock> auto& b) {
+void walk(auto io, Is<ResultBlock> auto& b) {
   io.bounded(b.run_status, 0, static_cast<std::uint8_t>(RunStatus::kError),
              "run status");
   io.text(b.detail);
@@ -352,7 +176,7 @@ void walk(auto& io, Is<ResultBlock> auto& b) {
   }
 }
 
-void walk(auto& io, Is<Request> auto& request) {
+void walk(auto io, Is<Request> auto& request) {
   io.type(request.type, MsgType::kSubmit, MsgType::kLookup, "request");
   switch (request.type) {
     case MsgType::kSubmit:
@@ -383,7 +207,7 @@ void walk(auto& io, Is<Request> auto& request) {
   }
 }
 
-void walk(auto& io, Is<Reply> auto& reply) {
+void walk(auto io, Is<Reply> auto& reply) {
   io.type(reply.type, MsgType::kSubmitReply, MsgType::kLookupReply, "reply");
   switch (reply.type) {
     case MsgType::kSubmitReply:
@@ -433,30 +257,15 @@ void walk(auto& io, Is<Reply> auto& reply) {
 
 template <class M>
 BitWriter encode(const M& message) {
-  BitWriter w;
-  Writer io(w);
-  walk(io, message);
-  return w;
+  return fields::write_fields([&message](auto io) { walk(io, message); });
 }
 
-/// Reads one M.  A frame payload must end at its last field: a
-/// conforming encoder byte-pads nothing, the bit length is exact.
 template <class M>
 M decode(BitReader& r, bool whole_payload) {
-  try {
-    M message;
-    Reader io(r);
-    walk(io, message);
-    if (whole_payload && r.remaining() != 0) {
-      malformed(std::to_string(r.remaining()) +
-                " trailing bits after the last field");
-    }
-    return message;
-  } catch (const InvariantError& e) {
-    // BitReader overruns surface as InvariantError; on a socket they mean
-    // a truncated or garbage payload, which is the peer's fault.
-    malformed(std::string("malformed payload: ") + e.what());
-  }
+  M message;
+  fields::read_fields<WireFail>(r, whole_payload,
+                                [&message](auto io) { walk(io, message); });
+  return message;
 }
 
 }  // namespace

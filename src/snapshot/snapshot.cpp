@@ -154,16 +154,6 @@ std::int64_t get_i64(BitReader& r) {
 
 bool get_bool(BitReader& r) { return r.read_bool(); }
 
-std::uint64_t get_count(BitReader& r, std::uint64_t min_bits_each) {
-  const std::uint64_t count = r.read_varuint();
-  if (min_bits_each != 0 && count > r.remaining() / min_bits_each) {
-    throw SnapshotError(
-        "corrupt snapshot: element count " + std::to_string(count) +
-        " exceeds what the remaining payload could possibly hold");
-  }
-  return count;
-}
-
 std::uint64_t get_bits(BitReader& r, std::vector<std::uint8_t>& bytes) {
   const std::uint64_t bits = r.read_varuint();
   if (bits > r.remaining()) {

@@ -21,10 +21,11 @@
 // resume from damaged state (the payload hash catches corruption before
 // any field is interpreted).
 //
-// Payload layout is owned by the writers (congest/network.cpp for the
-// engine section, each Snapshottable program for its own blob); this
-// header only provides the container and the bounds-checked field
-// helpers shared by all of them.
+// Each payload's layout is declared once, as a field walk that both
+// saves and loads it (snapshot/field_walk.hpp): the engine section in
+// congest/network.cpp, each Snapshottable program's blob beside the
+// program, the spool files in service/daemon.cpp.  This header provides
+// the container and the field codecs the walk shares.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +78,10 @@ std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t hash);
 
 namespace snap {
 
-// Field helpers shared by every snapshot writer/loader.  Writers use the
-// BitWriter primitives directly; the read side adds the bounds checking
-// that turns a malformed payload into a SnapshotError instead of UB or an
-// unbounded allocation.
+// Field codecs: the primitives under the field walk's reals and zigzag
+// integers, and a way to build or read a payload by hand (tests do).
+// Structural checks (lengths, narrowing, trailing bits) live in
+// fields::Reader.
 
 inline void put_u64(BitWriter& w, std::uint64_t value) {
   w.write_varuint(value);
@@ -111,12 +112,6 @@ std::int64_t get_i64(BitReader& r);
 bool get_bool(BitReader& r);
 double get_double(BitReader& r);
 long double get_long_double(BitReader& r);
-
-/// Reads an element count and validates it against the bits actually left
-/// in the stream (each element needs at least `min_bits_each` bits), so a
-/// corrupt length field fails fast instead of driving a multi-gigabyte
-/// resize.  `min_bits_each` must be >= 1.
-std::uint64_t get_count(BitReader& r, std::uint64_t min_bits_each);
 
 /// Reads a blob written by put_bits into owning bytes; returns its bit
 /// length.

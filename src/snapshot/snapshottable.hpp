@@ -22,7 +22,11 @@ namespace congestbc {
 ///     then calls load_state on it.
 ///   * load_state must consume exactly the bits save_state produced and
 ///     leave the program bit-identical to the saved one: running both
-///     forward produces identical messages, metrics, and outputs.
+///     forward produces identical messages, metrics, and outputs.  Every
+///     implementation declares its layout once, as a field walk
+///     (snapshot/field_walk.hpp) that save_state drives with a Writer and
+///     load_state with a Reader, so the first half holds by construction;
+///     load_state then only rebuilds derived indexes.
 ///   * load_state is called at most once, on a freshly constructed
 ///     instance, before its first on_round.
 ///   * Decorators (congest/reliable.hpp) save their own state plus their

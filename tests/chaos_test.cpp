@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -601,6 +603,210 @@ TEST(CrashSafety, CorruptStateFilesAreQuarantinedNotFatal) {
   expect_matches_local_run(client.wait_result(attach.job_id),
                            read_edge_list_text(karate),
                            DistributedBcOptions{});
+}
+
+// ------------------------------------------------------ spool goldens
+//
+// The bytes of one spooled request (jobs/job-*.req) and one persisted
+// result (cache/res-*.res), both of gen::figure1_example, pinned as hex
+// in tests/goldens/spool_v1.hex.  A restarted daemon must read both: it
+// resumes the request and serves its exact bits, and it answers the
+// result's submit from its cache with the same block.
+//
+// Regenerating after an intentional layout change (which must also bump
+// the spool version):
+//   CONGESTBC_UPDATE_GOLDENS=1 ./build/tests/chaos_test
+
+std::string fingerprint_name(const std::string& prefix, std::uint64_t fp,
+                             const std::string& suffix) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fp));
+  return prefix + hex + suffix;
+}
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  fs::create_directories(path.parent_path());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string hex_of(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<std::uint8_t>(c);
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+void expect_matches_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(CONGESTBC_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("CONGESTBC_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write golden " << path;
+    out << actual;
+    GTEST_SKIP() << "golden updated: " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  ASSERT_FALSE(expected.str().empty()) << "missing golden " << path;
+  EXPECT_EQ(actual, expected.str())
+      << "spool bytes drifted from " << path
+      << "; an intentional change must bump the spool version and "
+         "regenerate with CONGESTBC_UPDATE_GOLDENS=1";
+}
+
+TEST(SpoolGolden, RequestAndResultPayloadsMatchTheV1Goldens) {
+  const std::string figure1 = write_edge_list_text(gen::figure1_example());
+  SubmitRequest queued = inline_submit(figure1);
+  queued.halve = false;
+
+  TempDir spool("spool_golden");
+  std::string res;
+  std::string req;
+  std::uint64_t req_fingerprint = 0;
+  ResultReply served;
+  {
+    DaemonConfig config;
+    config.workers = 1;
+    config.spool_dir = spool.str();
+    DaemonHarness harness(config);
+    Client client;
+    harness.connect(client);
+    // .res: a finished job's persisted result.
+    const SubmitReply done = client.submit(inline_submit(figure1));
+    ASSERT_NE(done.job_id, 0u) << done.detail;
+    served = client.wait_result(done.job_id);
+    ASSERT_TRUE(served.ready) << served.detail;
+    res = file_bytes(spool.path() / "cache" /
+                     fingerprint_name("res-", done.fingerprint, ".res"));
+    // .req: a job still queued behind a long one (an exact solve of a
+    // 1500-cycle, seconds of work) when the daemon drains.
+    const SubmitReply blocker = client.submit(
+        inline_submit(write_edge_list_text(gen::cycle(1500))));
+    ASSERT_NE(blocker.job_id, 0u) << blocker.detail;
+    const SubmitReply waiting = client.submit(queued);
+    ASSERT_EQ(waiting.disposition, SubmitDisposition::kQueued)
+        << waiting.detail;
+    harness.stop();
+    req_fingerprint = waiting.fingerprint;
+    req = file_bytes(spool.path() / "jobs" /
+                     fingerprint_name("job-", req_fingerprint, ".req"));
+  }
+  ASSERT_FALSE(req.empty());
+  ASSERT_FALSE(res.empty());
+
+  // The request loads: a daemon started on it resumes the job and
+  // serves the exact bits of a local run.
+  {
+    TempDir restart("spool_golden_req");
+    write_bytes(restart.path() / "jobs" /
+                    fingerprint_name("job-", req_fingerprint, ".req"),
+                req);
+    DaemonConfig config;
+    config.spool_dir = restart.str();
+    DaemonHarness harness(config);
+    Client client;
+    harness.connect(client);
+    EXPECT_EQ(client.stats().jobs_resumed, 1u);
+    const SubmitReply attach = client.submit(queued);
+    ASSERT_NE(attach.job_id, 0u) << attach.detail;
+    DistributedBcOptions options;
+    options.halve = false;
+    expect_matches_local_run(client.wait_result(attach.job_id),
+                             gen::figure1_example(), options);
+  }
+  // The result loads: a daemon started on it answers the submit from its
+  // cache with the same block.
+  {
+    TempDir restart("spool_golden_res");
+    write_bytes(restart.path() / "cache" /
+                    fingerprint_name("res-", served.fingerprint, ".res"),
+                res);
+    DaemonConfig config;
+    config.spool_dir = restart.str();
+    DaemonHarness harness(config);
+    Client client;
+    harness.connect(client);
+    const SubmitReply hit = client.submit(inline_submit(figure1));
+    EXPECT_EQ(hit.disposition, SubmitDisposition::kCacheHit) << hit.detail;
+    const ResultReply cached = client.wait_result(hit.job_id);
+    ASSERT_TRUE(cached.ready);
+    EXPECT_EQ(cached.block_bits, served.block_bits);
+    EXPECT_EQ(cached.block_bytes, served.block_bytes);
+  }
+  expect_matches_golden("spool_v1.hex",
+                        "req " + hex_of(req) + "\nres " + hex_of(res) + "\n");
+}
+
+// A persisted result whose run status lies outside RunStatus is damaged
+// and quarantined: the status used to be narrowed to a byte, so 256
+// loaded as 0 = complete and was served.  kError, the last status, still
+// loads.
+TEST(SpoolNarrowing, ResultRunStatusOutsideRunStatusIsQuarantined) {
+  const std::string figure1 = write_edge_list_text(gen::figure1_example());
+  TempDir spool("status_source");
+  std::string res;
+  std::uint64_t fp = 0;
+  {
+    DaemonConfig config;
+    config.spool_dir = spool.str();
+    DaemonHarness harness(config);
+    Client client;
+    harness.connect(client);
+    const SubmitReply done = client.submit(inline_submit(figure1));
+    ASSERT_NE(done.job_id, 0u) << done.detail;
+    ASSERT_TRUE(client.wait_result(done.job_id).ready);
+    fp = done.fingerprint;
+    res = file_bytes(spool.path() / "cache" /
+                     fingerprint_name("res-", fp, ".res"));
+  }
+  // The same file with another run status, rewritten field by field.
+  const auto with_status = [&res](std::uint64_t status) {
+    std::istringstream in(res);
+    const SnapshotPayload payload = read_snapshot_container(in);
+    BitReader r = payload.reader();
+    BitWriter out;
+    snap::put_u64(out, snap::get_u64(r));  // spool version
+    snap::put_u64(out, snap::get_u64(r));  // fingerprint
+    (void)snap::get_u64(r);
+    snap::put_u64(out, status);
+    std::vector<std::uint8_t> block;
+    const std::uint64_t bits = snap::get_bits(r, block);
+    snap::put_bits(out, block.data(), bits);
+    std::ostringstream file;
+    write_snapshot_container(file, out);
+    return file.str();
+  };
+  for (const std::uint64_t status :
+       {static_cast<std::uint64_t>(RunStatus::kError), std::uint64_t{256}}) {
+    SCOPED_TRACE(status);
+    TempDir restart("status_" + std::to_string(status));
+    write_bytes(restart.path() / "cache" /
+                    fingerprint_name("res-", fp, ".res"),
+                with_status(status));
+    DaemonConfig config;
+    config.spool_dir = restart.str();
+    DaemonHarness harness(config);
+    Client client;
+    harness.connect(client);
+    const StatsReply stats = client.stats();
+    const bool in_range = status <= static_cast<std::uint64_t>(RunStatus::kError);
+    EXPECT_EQ(stats.cache_entries, in_range ? 1u : 0u);
+    EXPECT_EQ(stats.quarantined_files, in_range ? 0u : 1u);
+  }
 }
 
 // ---------------------------------------------------------- deadlines

@@ -492,6 +492,55 @@ TEST(ClusterRouter, ResultCacheServesWorkerBytesAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(w.submits, 4u);
 }
 
+// A router cache hit answers with the identity the worker reported for
+// the block: SUBMIT, STATUS and RESULT carry its fingerprint and
+// resolved backend.  A backend=auto submit, which a worker resolves by
+// its own load, never enters the router cache.
+TEST(ClusterRouter, ResultCacheHitsCarryTheWorkersIdentityAndSkipAuto) {
+  RouterConfig rc;
+  rc.health_every_ms = 100;
+  rc.result_cache_entries = 8;
+  RouterHarness router(rc);
+  WorkerHarness worker(worker_config(router.address()));
+  ASSERT_TRUE(wait_until(
+      [&] { return router.router().stats().workers_active == 1; }));
+
+  Client client;
+  router.connect(client);
+  const auto hits = [&] { return router.router().stats().result_cache_hits; };
+
+  SubmitRequest exact = inline_submit(write_edge_list_text(gen::cycle(16)));
+  exact.backend = static_cast<std::uint8_t>(BackendId::kPaperExact);
+  const SubmitReply first = client.submit(exact);
+  ASSERT_EQ(first.disposition, SubmitDisposition::kQueued) << first.detail;
+  ASSERT_NE(first.fingerprint, 0u);
+  EXPECT_EQ(first.backend, 1u);
+  ASSERT_TRUE(client.wait_result(first.job_id).ready);
+
+  const SubmitReply again = client.submit(exact);
+  EXPECT_EQ(again.disposition, SubmitDisposition::kCacheHit) << again.detail;
+  EXPECT_EQ(hits(), 1u) << "a repeated paper_exact submit must be a hit";
+  EXPECT_EQ(again.fingerprint, first.fingerprint);
+  EXPECT_EQ(again.backend, 1u);
+  EXPECT_FALSE(again.downgraded);
+  const StatusReply status = client.status(again.job_id);
+  EXPECT_EQ(status.state, JobState::kDone);
+  EXPECT_EQ(status.fingerprint, first.fingerprint);
+  const ResultReply result = client.result(again.job_id);
+  ASSERT_TRUE(result.ready);
+  EXPECT_EQ(result.fingerprint, first.fingerprint);
+
+  SubmitRequest automatic = inline_submit(write_edge_list_text(gen::cycle(17)));
+  automatic.backend = static_cast<std::uint8_t>(BackendId::kAuto);
+  for (int i = 0; i < 3; ++i) {
+    const SubmitReply reply = client.submit(automatic);
+    ASSERT_NE(reply.job_id, 0u) << reply.detail;
+    EXPECT_NE(reply.backend, 0u) << "the worker resolves auto";
+    EXPECT_TRUE(client.wait_result(reply.job_id).ready);
+  }
+  EXPECT_EQ(hits(), 1u) << "an auto submit was answered from the router cache";
+}
+
 // ------------------------------------------------ the migration matrix
 
 // A job caught mid-run on worker A by a SIGTERM-style drain resumes on

@@ -1,12 +1,16 @@
 // LRU result-cache tests (src/service/cache.hpp): eviction order,
 // hit/miss/eviction counters, recency semantics of get vs peek, the
 // capacity-zero disable switch, and the persisted-index key order.
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "gtest/gtest.h"
 #include "service/cache.hpp"
+#include "service/metrics.hpp"
 
 namespace congestbc::service {
 namespace {
@@ -109,6 +113,57 @@ TEST(LruResultCache, SharedPtrSurvivesEviction) {
   EXPECT_EQ(cache.peek(1), nullptr);
   ASSERT_NE(held, nullptr);        // but the bytes stay valid
   EXPECT_EQ(held->run_status, 1);
+}
+
+// The latency window's percentiles select order statistics instead of
+// sorting; they must equal the interpolation over a sorted copy bit for
+// bit, before the 4,096-sample ring fills and after it wraps.
+double reference_percentile(std::vector<double> window, double p) {
+  if (window.empty()) {
+    return 0.0;
+  }
+  std::sort(window.begin(), window.end());
+  const double rank = p / 100.0 * static_cast<double>(window.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, window.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return window[lo] + (window[hi] - window[lo]) * frac;
+}
+
+TEST(ServiceMetrics, PercentilesMatchAReferenceSortBeforeAndAfterWrap) {
+  ServiceMetrics metrics;
+  EXPECT_EQ(metrics.latency_percentile(50.0), 0.0);
+  EXPECT_EQ(metrics.snapshot().latency_p99_ms, 0.0);
+  Rng rng(2026);
+  std::deque<double> window;
+  const std::size_t checkpoints[] = {1, 2, 7, 1000, 4095, 4096, 4097, 6000,
+                                     9000};
+  std::size_t recorded = 0;
+  for (const std::size_t until : checkpoints) {
+    while (recorded < until) {
+      // Heavy ties (integers) and spread-out values both occur.
+      const double ms = recorded % 3 == 0
+                            ? static_cast<double>(rng.next_below(50))
+                            : static_cast<double>(rng.next_u64() % 1000000) /
+                                  997.0;
+      metrics.record_latency_ms(ms);
+      window.push_back(ms);
+      if (window.size() > ServiceMetrics::kLatencyWindow) {
+        window.pop_front();
+      }
+      ++recorded;
+    }
+    SCOPED_TRACE(recorded);
+    const std::vector<double> samples(window.begin(), window.end());
+    for (const double p : {0.0, 1.0, 33.3, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(metrics.latency_percentile(p), reference_percentile(samples, p))
+          << p;
+    }
+    const StatsReply stats = metrics.snapshot();
+    EXPECT_EQ(stats.latency_p50_ms, reference_percentile(samples, 50.0));
+    EXPECT_EQ(stats.latency_p90_ms, reference_percentile(samples, 90.0));
+    EXPECT_EQ(stats.latency_p99_ms, reference_percentile(samples, 99.0));
+  }
 }
 
 }  // namespace

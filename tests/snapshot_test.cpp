@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "algo/bc_pipeline.hpp"
+#include "algo/bfs_tree.hpp"
 #include "common/rng.hpp"
 #include "congest/network.hpp"
+#include "congest/reliable.hpp"
 #include "congest/trace.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
@@ -28,6 +30,7 @@
 #include "gtest/gtest.h"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot/snapshottable.hpp"
 
 namespace congestbc {
 namespace {
@@ -577,6 +580,399 @@ TEST(SnapshotResume, WatchdogReportsSuspended) {
   EXPECT_FALSE(outcome.complete());
   EXPECT_TRUE(outcome.result.suspended);
   EXPECT_NE(outcome.summary().find("suspended"), std::string::npos);
+}
+
+// ------------------------------------------------------------- goldens
+//
+// The payload bits of three snapshots of gen::figure1_example (the
+// paper's worked example, 5 nodes), pinned as hex in
+// tests/goldens/snapshot_v1.hex.  The resume matrices and the field
+// helper round trip would pass under any symmetric change to the
+// encoding; these pin the encoding itself:
+//   * exact_counting:    halted mid-counting — L_v rows with preds, the
+//                        DFS-token and own-wave cursors, child reports;
+//   * exact_aggregation: halted after every node learned the epoch, so
+//                        each holds its Algorithm-3 send schedule;
+//   * reliable_delay:    reliable transport under a delay plan, halted
+//                        one round after a delay, so a parked message
+//                        and non-empty stored/unacked ARQ state cross
+//                        the boundary.
+// Each golden must also load: every program blob the engine section
+// yields re-saves to itself through a fresh program, and the run resumed
+// from it and halted one round later equals the uninterrupted run halted
+// there, byte for byte.
+//
+// Regenerating after an intentional layout change (which must also bump
+// kSnapshotFormatVersion):
+//   CONGESTBC_UPDATE_GOLDENS=1 ./build/tests/snapshot_test
+
+std::string hex_of(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<std::uint8_t>(c);
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+void expect_matches_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(CONGESTBC_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("CONGESTBC_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write golden " << path;
+    out << actual;
+    GTEST_SKIP() << "golden updated: " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  ASSERT_FALSE(expected.str().empty()) << "missing golden " << path;
+  EXPECT_EQ(actual, expected.str())
+      << "snapshot bits drifted from " << path
+      << "; an intentional change must bump kSnapshotFormatVersion and "
+         "regenerate with CONGESTBC_UPDATE_GOLDENS=1";
+}
+
+/// Holds one program blob verbatim: load_state keeps every bit it is
+/// given, save_state writes them back.  Lets a test read the blobs out
+/// of an engine section through the engine's own parser.
+class BlobProgram final : public NodeProgram, public Snapshottable {
+ public:
+  void on_round(NodeContext&) override {}
+  bool done() const override { return true; }
+  void save_state(BitWriter& w) const override {
+    w.append(blob_.data(), blob_.bit_size());
+  }
+  void load_state(BitReader& r) override {
+    blob_.clear();
+    while (r.remaining() > 0) {
+      const unsigned chunk =
+          r.remaining() >= 64 ? 64u : static_cast<unsigned>(r.remaining());
+      blob_.write(r.read(chunk), chunk);
+    }
+  }
+  const BitWriter& blob() const { return blob_; }
+
+ private:
+  BitWriter blob_;
+};
+
+struct GoldenSnapshot {
+  const char* name;
+  bool reliable;
+  std::uint64_t halt;
+};
+
+/// Exact runs are fault-free; the reliable run delays 10% of messages.
+DistributedBcOptions golden_options(bool reliable) {
+  DistributedBcOptions options;
+  if (reliable) {
+    options.reliable_transport = true;
+    options.faults.seed = 7;
+    options.faults.delay_probability = 0.1;
+  }
+  return options;
+}
+
+std::string snapshot_bytes(BcRun& run) {
+  EXPECT_TRUE(run.suspended());
+  std::ostringstream out;
+  run.save_snapshot(out);
+  return out.str();
+}
+
+std::string halted_snapshot(const Graph& g, bool reliable,
+                            std::uint64_t halt) {
+  DistributedBcOptions options = golden_options(reliable);
+  options.halt_at_round = halt;
+  BcRun run(g, options);
+  run.run();
+  return snapshot_bytes(run);
+}
+
+/// The program blobs of `snapshot`, split out by Network::load_snapshot
+/// and handed to BlobPrograms by the resumed run.
+std::vector<BitWriter> program_blobs(const Graph& g, bool reliable,
+                                     const std::string& snapshot) {
+  const DistributedBcOptions options = golden_options(reliable);
+  const std::uint64_t inner = congest_budget_bits(g.num_nodes());
+  NetworkConfig config{reliable ? reliable_budget_bits(inner,
+                                                       options.max_rounds)
+                                : inner};
+  config.faults = options.faults.empty() ? nullptr : &options.faults;
+  Network net(g, config);
+  std::istringstream in(snapshot);
+  net.load_snapshot(in);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    programs.push_back(std::make_unique<BlobProgram>());
+  }
+  net.run(programs);
+  std::vector<BitWriter> blobs;
+  for (const auto& program : programs) {
+    blobs.push_back(static_cast<const BlobProgram&>(*program).blob());
+  }
+  return blobs;
+}
+
+/// Loads `blob` into `program`, which must consume it exactly and save
+/// the same bits back.
+void expect_resaves_to_itself(Snapshottable& program, const BitWriter& blob,
+                              const std::string& what) {
+  BitReader r(blob.data(), blob.bit_size());
+  program.load_state(r);
+  EXPECT_EQ(r.remaining(), 0u) << what;
+  BitWriter again;
+  program.save_state(again);
+  EXPECT_EQ(again.bit_size(), blob.bit_size()) << what;
+  EXPECT_EQ(again.bytes(), blob.bytes()) << what;
+}
+
+TEST(SnapshotGolden, PayloadBitsMatchTheV1Goldens) {
+  const Graph g = gen::figure1_example();
+  ASSERT_EQ(g.num_nodes(), 5u);
+  const GoldenSnapshot goldens[] = {
+      {"exact_counting", false, 20},
+      {"exact_aggregation", false, 45},
+      {"reliable_delay", true, 17},
+  };
+  std::string text;
+  for (const GoldenSnapshot& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    const std::string snapshot =
+        halted_snapshot(g, golden.reliable, golden.halt);
+    text += std::string(golden.name) + " " + hex_of(snapshot) + "\n";
+
+    // Each program blob re-saves to itself through a fresh program.
+    DistributedBcOptions fresh_options = golden_options(golden.reliable);
+    BcRun fresh(g, fresh_options);
+    const std::vector<BitWriter> blobs =
+        program_blobs(g, golden.reliable, snapshot);
+    ASSERT_EQ(blobs.size(), g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const std::string node = "node " + std::to_string(v);
+      BitWriter inner = blobs[v];
+      if (golden.reliable) {
+        ReliableProgram transport(std::make_unique<BlobProgram>());
+        expect_resaves_to_itself(transport, blobs[v], node + " transport");
+        inner = static_cast<const BlobProgram&>(transport.inner()).blob();
+      }
+      expect_resaves_to_itself(*fresh.views()[v], inner, node + " program");
+    }
+
+    // The engine section loads exactly: resumed and halted one round
+    // later, the run saves what the uninterrupted run saves there.
+    const std::string path =
+        (fs::temp_directory_path() /
+         ("congestbc_snapshot_golden_" + std::string(golden.name) + "_" +
+          std::to_string(static_cast<unsigned long>(::getpid())) +
+          ".cbcsnap"))
+            .string();
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << snapshot;
+    }
+    DistributedBcOptions resume = golden_options(golden.reliable);
+    resume.resume_from = path;
+    resume.halt_at_round = golden.halt + 1;
+    BcRun resumed(g, resume);
+    resumed.run();
+    fs::remove(path);
+    EXPECT_EQ(snapshot_bytes(resumed),
+              halted_snapshot(g, golden.reliable, golden.halt + 1));
+  }
+
+  // Each golden shows the state it was chosen for.
+  {
+    DistributedBcOptions counting = golden_options(false);
+    counting.halt_at_round = 20;
+    BcRun run(g, counting);
+    run.run();
+    bool preds = false;
+    for (const BcProgram* program : run.views()) {
+      for (const SourceEntry& entry : program->table()) {
+        preds |= !entry.preds.empty();
+      }
+      EXPECT_EQ(program->outputs().aggregation_epoch, 0u);
+    }
+    EXPECT_TRUE(preds);
+  }
+  {
+    DistributedBcOptions aggregation = golden_options(false);
+    aggregation.halt_at_round = 45;
+    BcRun run(g, aggregation);
+    run.run();
+    bool unfinished = false;
+    for (const BcProgram* program : run.views()) {
+      EXPECT_NE(program->outputs().aggregation_epoch, 0u);
+      unfinished |= program->outputs().finish_round == 0;
+    }
+    EXPECT_TRUE(unfinished);
+  }
+  {
+    MessageTrace trace;
+    DistributedBcOptions delayed = golden_options(true);
+    delayed.trace = &trace;
+    delayed.halt_at_round = 17;
+    BcRun run(g, delayed);
+    run.run();
+    bool delay_before_halt = false;
+    for (const FaultEvent& event : trace.fault_events()) {
+      delay_before_halt |= event.kind == FaultKind::kDelay && event.round == 16;
+    }
+    EXPECT_TRUE(delay_before_halt);
+  }
+  expect_matches_golden("snapshot_v1.hex", text);
+}
+
+// ---------------------------------------------------- checked narrowing
+//
+// A varuint wider than its field is rejected with SnapshotError instead
+// of truncated: a hash-valid checkpoint or MIGRATE snapshot with parent =
+// 2^32 + 1 used to resume with parent 1.  Every field still loads its
+// maximum.  The blobs are built field by field with the snap:: helpers.
+
+constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+
+/// A TreeBuilder blob; `f` holds its 32-bit fields in layout order: dist,
+/// parent, the one child, the one child report's count and depth, and
+/// the subtree count and depth.
+void put_tree(BitWriter& w, const std::vector<std::uint64_t>& f) {
+  snap::put_bool(w, true);   // started
+  snap::put_bool(w, true);   // has_dist
+  snap::put_u64(w, f[0]);    // dist
+  snap::put_u64(w, f[1]);    // parent
+  snap::put_u64(w, 5);       // wave_round
+  snap::put_bool(w, true);   // children_final
+  snap::put_u64(w, 1);       // one child
+  snap::put_u64(w, f[2]);
+  snap::put_u64(w, 1);       // one child report
+  snap::put_u64(w, f[3]);
+  snap::put_u64(w, f[4]);
+  snap::put_bool(w, true);   // subtree_reported
+  snap::put_bool(w, false);  // tree_complete
+  snap::put_u64(w, f[5]);    // subtree_count
+  snap::put_u64(w, f[6]);    // subtree_depth
+}
+
+void put_soft(BitWriter& w) {
+  snap::put_u64(w, 0x80);  // mantissa
+  snap::put_i64(w, -3);    // exponent
+}
+
+/// A BcProgram blob for node 0 of an exact run (a source) with one L_v
+/// row; `f` holds its 32-bit fields in layout order: the row's dist and
+/// one predecessor, the depth estimate, the eccentricity reports and
+/// maximum, the diameter, and the output eccentricity and diameter.
+BitWriter bc_blob(const std::vector<std::uint64_t>& f) {
+  BitWriter w;
+  snap::put_bool(w, true);  // source flag
+  put_tree(w, {1, 0, 2, 1, 1, 1, 1});
+  snap::put_u64(w, 1);      // one row
+  snap::put_u64(w, 0);      //   source
+  snap::put_u64(w, 7);      //   t_start
+  snap::put_u64(w, f[0]);   //   dist
+  put_soft(w);              //   sigma
+  snap::put_u64(w, 1);      //   one predecessor
+  snap::put_u64(w, f[1]);
+  put_soft(w);              //   psi
+  put_soft(w);              //   lambda
+  snap::put_u64(w, 0);      //   agg_send_round
+  snap::put_bool(w, true);  // dfs_visited
+  snap::put_u64(w, f[2]);   // depth_estimate
+  snap::put_u64(w, 0);      // next_child
+  snap::put_bool(w, false);  // no pending token round
+  snap::put_bool(w, false);  // no own-wave round
+  snap::put_u64(w, 3);      // my_bfs_round
+  snap::put_u64(w, f[3]);   // ecc_reports
+  snap::put_u64(w, f[4]);   // ecc_max
+  snap::put_bool(w, false);  // ecc_sent
+  snap::put_bool(w, false);  // phase_down_seen
+  snap::put_u64(w, f[5]);   // diameter
+  snap::put_u64(w, 0);      // epoch
+  snap::put_u64(w, 0);      // empty aggregation schedule
+  snap::put_u64(w, 0);      // agg_cursor
+  snap::put_u64(w, 0);      // finalize_round
+  snap::put_double(w, 0.0);
+  snap::put_double(w, 0.0);
+  snap::put_double(w, 0.0);
+  snap::put_long_double(w, 0.0L);
+  snap::put_u64(w, f[6]);   // output eccentricity
+  snap::put_u64(w, 0);      // sum_distances
+  snap::put_u64(w, f[7]);   // output diameter
+  snap::put_u64(w, 0);      // aggregation_epoch
+  snap::put_u64(w, 0);      // finish_round
+  snap::put_bool(w, false);  // finished
+  return w;
+}
+
+/// True when `program` accepts `blob` and consumes all of it; false on
+/// SnapshotError.
+bool loads(Snapshottable& program, const BitWriter& blob) {
+  BitReader r(blob.data(), blob.bit_size());
+  try {
+    program.load_state(r);
+  } catch (const SnapshotError&) {
+    return false;
+  }
+  return r.remaining() == 0;
+}
+
+/// Each field at its maximum loads; one past it is rejected.
+template <class Load>
+void expect_checked_fields(std::size_t num_fields, const Load& load) {
+  for (std::size_t i = 0; i < num_fields; ++i) {
+    SCOPED_TRACE("field " + std::to_string(i));
+    std::vector<std::uint64_t> fields(num_fields, kMax32);
+    EXPECT_TRUE(load(fields));
+    fields[i] = kMax32 + 2;  // 2^32 + 1: would truncate to 1
+    EXPECT_FALSE(load(fields));
+  }
+}
+
+TEST(SnapshotNarrowing, TreeFieldsWiderThanTheirTypeAreRejected) {
+  const WireFormat fmt = WireFormat::for_graph(5, SoftFloatFormat::for_graph(5));
+  expect_checked_fields(7, [&fmt](const std::vector<std::uint64_t>& f) {
+    BfsTreeProgram program(1, 0, fmt);
+    BitWriter blob;
+    put_tree(blob, f);
+    return loads(program, blob);
+  });
+}
+
+TEST(SnapshotNarrowing, BcProgramFieldsWiderThanTheirTypeAreRejected) {
+  const Graph g = gen::figure1_example();
+  expect_checked_fields(8, [&g](const std::vector<std::uint64_t>& f) {
+    BcRun fresh(g, DistributedBcOptions{});
+    return loads(*fresh.views()[0], bc_blob(f));
+  });
+}
+
+TEST(SnapshotNarrowing, ReliablePeerIdWiderThanItsTypeIsRejected) {
+  const WireFormat fmt = WireFormat::for_graph(5, SoftFloatFormat::for_graph(5));
+  expect_checked_fields(1, [&fmt](const std::vector<std::uint64_t>& f) {
+    ReliableProgram program(std::make_unique<BfsTreeProgram>(1, 0, fmt));
+    BitWriter inner;
+    put_tree(inner, {1, 0, 2, 1, 1, 1, 1});
+    BitWriter blob;
+    snap::put_bool(blob, true);   // initialized
+    snap::put_bool(blob, false);  // quiet
+    snap::put_u64(blob, 4);       // executed
+    snap::put_u64(blob, 0);       // retransmissions
+    snap::put_u64(blob, 1);       // one peer
+    snap::put_u64(blob, f[0]);    //   id
+    snap::put_u64(blob, 2);       //   known_prefix
+    snap::put_u64(blob, 2);       //   peer_produced
+    snap::put_bool(blob, false);  //   peer_quiet
+    snap::put_u64(blob, 0);       //   nothing stored
+    snap::put_u64(blob, 0);       //   nothing unacked
+    snap::put_u64(blob, 1);       //   acked
+    snap::put_bool(blob, false);  //   polled_needy
+    snap::put_bits(blob, inner.data(), inner.bit_size());
+    return loads(program, blob);
+  });
 }
 
 // ------------------------------------------------- periodic checkpoints
